@@ -13,10 +13,10 @@
      LibPreemptible q=5us).  This exercises the full dispatch path:
      arrivals, rqueues, context pool, utimer scan, preemption.
 
-   Events/sec numbers are host wall-clock facts; the minor-word and
-   event counts depend only on the compiled program (simulated-time
-   normalisation), which is what lets CI gate them next to the
-   determinism job (see EXPERIMENTS.md). *)
+   Events/sec numbers are host wall-clock facts; the minor-word,
+   promoted-word and event counts depend only on the compiled program
+   (simulated-time normalisation), which is what lets CI gate them next
+   to the determinism job (see EXPERIMENTS.md). *)
 
 let micro_events = 2_000_000
 
@@ -59,6 +59,7 @@ let server_macro () =
       ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
   in
   Gc.full_major ();
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
   let alloc = Obs.Alloc.start () in
   let t0 = Unix.gettimeofday () in
   let r =
@@ -68,7 +69,8 @@ let server_macro () =
   in
   let wall = Unix.gettimeofday () -. t0 in
   let words = Obs.Alloc.words alloc in
-  (r, wall, words, float_of_int duration_ns /. 1e9)
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+  (r, wall, words, promoted, float_of_int duration_ns /. 1e9)
 
 let run () =
   Bench_util.header "perf: engine hot-path throughput and allocation budget";
@@ -79,14 +81,16 @@ let run () =
     fired wall (eps /. 1e6) wpe;
   Bench_report.perf "micro_events_per_s" eps;
   Bench_report.perf "micro_minor_words_per_event" wpe;
-  let r, swall, swords, sim_s = server_macro () in
+  let r, swall, swords, spromoted, sim_s = server_macro () in
   let swps = swords /. sim_s in
+  let spps = spromoted /. sim_s in
   let sim_events = float_of_int r.Preemptible.Server.sim_events in
   Format.printf
     "server macro: %d completed, %.0f sim events, wall %.3fs (%.3f sim s)@."
     r.Preemptible.Server.completed sim_events swall sim_s;
-  Format.printf "server macro: %.2f Mev/s wall, %.3g minor words/sim s@."
-    (sim_events /. swall /. 1e6) swps;
+  Format.printf "server macro: %.2f Mev/s wall, %.3g minor words/sim s, %.3g promoted/sim s@."
+    (sim_events /. swall /. 1e6) swps spps;
   Bench_report.perf "server_events_per_s" (sim_events /. swall);
   Bench_report.perf "server_sim_events" sim_events;
-  Bench_report.perf "server_minor_words_per_sim_s" swps
+  Bench_report.perf "server_minor_words_per_sim_s" swps;
+  Bench_report.perf "server_promoted_words_per_sim_s" spps

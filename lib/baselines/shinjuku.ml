@@ -47,7 +47,7 @@ type st = {
   ipi_fabric : Hw.Ipi.t;
   mutable workers : worker array;
   central_q : item Preemptible.Rqueue.t;
-  pool : Preemptible.Context.t;
+  pool : Preemptible.Fn.Pool.t;
   sum_all : Stat.Summary.t;
   sum_lc : Stat.Summary.t;
   sum_be : Stat.Summary.t;
@@ -97,7 +97,7 @@ let complete st w fn =
   record_completion st fn;
   Preemptible.Fn.note_progress fn ~executed_ns:(Preemptible.Fn.remaining_ns fn);
   Preemptible.Fn.complete fn;
-  Preemptible.Context.release st.pool (Preemptible.Fn.context fn);
+  Preemptible.Fn.Pool.release st.pool fn;
   st.outstanding <- st.outstanding - 1;
   w.current <- None;
   w.deadline <- max_int
@@ -176,8 +176,7 @@ let rec dispatcher_iteration st =
             w.starting <- true;
             (match item with
             | New req ->
-              let ctx = Preemptible.Context.alloc st.pool in
-              let fn = Preemptible.Fn.create req ~ctx in
+              let fn = Preemptible.Fn.Pool.acquire st.pool req in
               w.current <- Some fn;
               ignore
                 (Engine.Sim.at st.sim start_at (fun () ->
@@ -270,7 +269,9 @@ let run ?(probes = Preemptible.Server.no_probes) ?(warmup_ns = 0) cfg ~arrival ~
       ipi_fabric;
       workers = [||];
       central_q = Preemptible.Rqueue.create ~name:"central";
-      pool = Preemptible.Context.create_pool ~capacity:8192 ~stack_kb:16;
+      pool =
+        Preemptible.Fn.Pool.create
+          (Preemptible.Context.create_pool ~capacity:8192 ~stack_kb:16);
       sum_all = Stat.Summary.create ();
       sum_lc = Stat.Summary.create ();
       sum_be = Stat.Summary.create ();
@@ -340,7 +341,7 @@ let run ?(probes = Preemptible.Server.no_probes) ?(warmup_ns = 0) cfg ~arrival ~
     preemptions = st.preemptions;
     timer_interrupts = st.ipis_sent;
     spurious_interrupts = st.spurious;
-    ctx_high_water = Preemptible.Context.high_water st.pool;
+    ctx_high_water = Preemptible.Context.high_water (Preemptible.Fn.Pool.contexts st.pool);
     worker_busy_frac =
       (if final = 0 then 0.0
        else float_of_int busy /. (float_of_int cfg.n_workers *. float_of_int final));

@@ -4,7 +4,15 @@
     request from a global memory pool whose size the application
     defines.  A context is attached to a function when it launches,
     parked on the global wait list when the function is preempted, and
-    returned to the free list when the function completes. *)
+    returned to the free list when the function completes.
+
+    The pool's [capacity] is the application's limit on contexts in use
+    at once, not an up-front allocation: a context is created the first
+    time the free list is empty and fewer than [capacity] exist, and
+    released contexts are reused LIFO before any new one is created.
+    Ids therefore come out exactly as from a free list preloaded with
+    [0 .. capacity-1] in ascending order, and {!Pool_exhausted} fires on
+    the same request. *)
 
 type state = Free | Active | Preempted
 
@@ -27,8 +35,9 @@ val capacity : t -> int
 val stack_kb : t -> int
 
 val alloc : t -> ctx
-(** Take a context from the free list; raises {!Pool_exhausted} when
-    none remain (the application chose the pool size). *)
+(** Take the most recently released context, or create the next id;
+    raises {!Pool_exhausted} when [capacity] contexts are in use (the
+    application chose the pool size). *)
 
 val release : t -> ctx -> unit
 (** Return a context to the free list. Raises [Invalid_argument] if the

@@ -1,7 +1,7 @@
 type status = Created | Running | Preempted | Completed
 
 type t = {
-  req : Workload.Request.t;
+  mutable req : Workload.Request.t;
   ctx : Context.ctx;
   mutable st : status;
   mutable remaining : int;
@@ -11,6 +11,48 @@ type t = {
 
 let create req ~ctx =
   { req; ctx; st = Created; remaining = req.Workload.Request.service_ns; deadline = max_int; preemptions = 0 }
+
+module Pool = struct
+  type fn = t
+
+  type t = {
+    contexts : Context.t;
+    mutable fns : fn array; (* [fns.(id)] is bound to context [id] once created *)
+  }
+
+  let contexts p = p.contexts
+
+  let acquire p req =
+    let ctx = Context.alloc p.contexts in
+    let id = Context.ctx_id ctx in
+    let cap = Array.length p.fns in
+    if id < cap && p.fns.(id).ctx == ctx then begin
+      let fn = p.fns.(id) in
+      fn.req <- req;
+      fn.st <- Created;
+      fn.remaining <- req.Workload.Request.service_ns;
+      fn.deadline <- max_int;
+      fn.preemptions <- 0;
+      fn
+    end
+    else begin
+      let fn = create req ~ctx in
+      if id >= cap then begin
+        (* The filler slots past [id] fail the [ctx ==] test above
+           until their own context is first handed out. *)
+        let fns = Array.make (max (id + 1) (2 * cap)) fn in
+        Array.blit p.fns 0 fns 0 cap;
+        p.fns <- fns
+      end;
+      p.fns.(id) <- fn;
+      fn
+    end
+
+  let release p fn = Context.release p.contexts fn.ctx
+
+  (* Defined last: [create] above is the record constructor. *)
+  let create contexts = { contexts; fns = [||] }
+end
 
 let request t = t.req
 let context t = t.ctx

@@ -14,6 +14,7 @@ type status = Created | Running | Preempted | Completed
 type t
 
 val create : Workload.Request.t -> ctx:Context.ctx -> t
+(** A fresh function record bound to [ctx]. *)
 
 val request : t -> Workload.Request.t
 
@@ -52,3 +53,31 @@ val completed : t -> bool
 
 val sojourn_ns : t -> now:int -> int
 (** Time since arrival. *)
+
+(** Function records recycled together with their contexts.
+
+    Contexts and functions are one-to-one, so the pool keeps one record
+    per context id: {!Pool.acquire} takes a context from the underlying
+    {!Context.t} and resets the record bound to it, allocating a record
+    only the first time that context is handed out.  A record released
+    with {!Pool.release} may back the next request at the following
+    {!Pool.acquire}, so holding it past release observes that request. *)
+module Pool : sig
+  type fn := t
+
+  type t
+
+  val create : Context.t -> t
+
+  val contexts : t -> Context.t
+
+  val acquire : t -> Workload.Request.t -> fn
+  (** A function in the [Created] state for the request, with no
+      preemptions, no deadline, and the request's full service time
+      remaining.  Raises {!Context.Pool_exhausted} as {!Context.alloc}
+      does. *)
+
+  val release : t -> fn -> unit
+  (** Return the function's context to the pool (see
+      {!Context.release}). *)
+end

@@ -150,7 +150,7 @@ type st = {
   long_q : Fn.t Rqueue.t;
   dispatch_q : Workload.Request.t Rqueue.t;
   dispatcher : Hw.Core.t;
-  pool : Context.t;
+  pool : Fn.Pool.t;
   req_pool : Workload.Request.Pool.t;
   window : Stats_window.t;
   sum_all : Stat.Summary.t;
@@ -256,9 +256,9 @@ and complete_current st w fn =
   st.mech.mech_disarm w.wid;
   Fn.note_progress fn ~executed_ns:(Fn.remaining_ns fn);
   Fn.complete fn;
-  Context.release st.pool (Fn.context fn);
-  st.outstanding <- st.outstanding - 1;
   let req = Fn.request fn in
+  Fn.Pool.release st.pool fn;
+  st.outstanding <- st.outstanding - 1;
   let latency = t - req.Workload.Request.arrival_ns in
   Stats_window.note_completion st.window ~now:t ~latency_ns:latency
     ~service_ns:req.Workload.Request.service_ns;
@@ -343,7 +343,7 @@ and schedule_next st w =
       in
       match choice with
       | Policy.Run_new ->
-        if Context.free_count st.pool > 0 then launch_new st w ~from:w
+        if Context.free_count (Fn.Pool.contexts st.pool) > 0 then launch_new st w ~from:w
         else if pre_ready > 0 then resume_preempted st w
       | Policy.Resume_preempted -> resume_preempted st w
     end
@@ -361,7 +361,7 @@ and schedule_next st w =
             | Some _ | None -> victim := Some w')
         st.workers;
       match !victim with
-      | Some v when Context.free_count st.pool > 0 -> launch_new st w ~from:v
+      | Some v when Context.free_count (Fn.Pool.contexts st.pool) > 0 -> launch_new st w ~from:v
       | Some _ | None -> ()
     end
   end
@@ -410,8 +410,7 @@ and launch_new st w ~from =
   match pop_new st from.local with
   | None -> ()
   | Some req ->
-    let ctx = Context.alloc st.pool in
-    let fn = Fn.create req ~ctx in
+    let fn = Fn.Pool.acquire st.pool req in
     w.current <- Some fn;
     (* Stealing pays an extra cross-core cacheline transfer. *)
     let steal_cost = if from.wid = w.wid then 0 else st.cfg.hw.Hw.Params.cacheline_ns in
@@ -503,9 +502,9 @@ let on_interrupt st i =
         Telemetry.note_wasted tel ~core:w.wid
           ~ns:(r.Workload.Request.service_ns - Fn.remaining_ns fn)
       | None -> ());
-      Context.release st.pool (Fn.context fn);
-      st.outstanding <- st.outstanding - 1;
       let req = Fn.request fn in
+      Fn.Pool.release st.pool fn;
+      st.outstanding <- st.outstanding - 1;
       if measured st req then st.cancelled_measured <- st.cancelled_measured + 1;
       Workload.Request.Pool.release st.req_pool req;
       check_drain st
@@ -1021,7 +1020,9 @@ let create ?(probes = no_probes) ?(warmup_ns = 0) cfg ~sim ~duration_ns =
       long_q = Rqueue.create ~name:"long";
       dispatch_q = Rqueue.create ~name:"dispatch";
       dispatcher = Hw.Core.create sim ~id:(-1);
-      pool = Context.create_pool ~capacity:cfg.ctx_pool_capacity ~stack_kb:cfg.stack_kb;
+      pool =
+        Fn.Pool.create
+          (Context.create_pool ~capacity:cfg.ctx_pool_capacity ~stack_kb:cfg.stack_kb);
       req_pool = Workload.Request.Pool.create ();
       window = Stats_window.create ~window_ns:cfg.stats_window_ns;
       sum_all = Stat.Summary.create ();
@@ -1239,7 +1240,7 @@ let finish st =
     preemptions = st.preemptions;
     timer_interrupts = st.mech.mech_fired ();
     spurious_interrupts = st.spurious;
-    ctx_high_water = Context.high_water st.pool;
+    ctx_high_water = Context.high_water (Fn.Pool.contexts st.pool);
     worker_busy_frac =
       (if final = 0 then 0.0
        else float_of_int busy /. (float_of_int cfg.n_workers *. float_of_int final));

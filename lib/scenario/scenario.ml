@@ -509,7 +509,7 @@ let parse_time ~field (pos, s) =
   if !i = 0 then
     err pos field (Printf.sprintf "expected a duration like 5us, got %S" s)
   else
-    let v = int_of_string (String.sub s 0 !i) in
+    let digits = String.sub s 0 !i in
     let unit = String.sub s !i (n - !i) in
     let scale =
       match unit with
@@ -521,7 +521,9 @@ let parse_time ~field (pos, s) =
         err (pos + !i) field
           (Printf.sprintf "unknown time unit %S (ns|us|ms|s)" unit)
     in
-    v * scale
+    match int_of_string_opt digits with
+    | Some v when v <= max_int / scale -> v * scale
+    | Some _ | None -> err pos field (Printf.sprintf "duration %S is out of range" s)
 
 let parse_rate ~field (pos, s) =
   let n = String.length s in
@@ -1346,8 +1348,12 @@ let validate s =
   match
     (match s.system with
     | Lp | Lp_nouintr ->
-      if s.fleet <> None then ignore (cluster_config s)
-      else ignore (server_config s)
+      (* The check [Guard.create] runs when each server starts. *)
+      let check (cfg : Preemptible.Server.config) =
+        Option.iter Guard.validate cfg.Preemptible.Server.guard
+      in
+      if s.fleet <> None then Array.iter check (cluster_config s).Cluster.members
+      else check (server_config s)
     | sys ->
       baseline_reject s (system_name sys);
       (match sys with

@@ -54,6 +54,27 @@ let test_shinjuku_worse_than_libpreemptible () =
     (lp.Preemptible.Server.all.Stat.Summary.p99
     < shinjuku.Preemptible.Server.all.Stat.Summary.p99)
 
+(* Shinjuku's context pool has a fixed 8192 capacity; built eagerly it
+   would leave ~49k words in the major heap of every run.  Created on
+   first use, a short run's whole major-heap footprint stays far below
+   that, and two identical runs agree to the word. *)
+let test_shinjuku_pool_lazy () =
+  let run () =
+    let cfg = Baselines.Shinjuku.default_config ~n_workers:5 ~quantum_ns:(Units.us 5) in
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    let r =
+      Baselines.Shinjuku.run cfg ~arrival:(arrival 400_000.0) ~source:a1_source
+        ~duration_ns:(Units.ms 20)
+    in
+    (r, (Gc.quick_stat ()).Gc.major_words -. before)
+  in
+  let a, a_words = run () in
+  let b, b_words = run () in
+  check_bool "identical results" true (compare a b = 0);
+  check_bool "identical footprint" true (a_words = b_words);
+  check_bool (Printf.sprintf "major words %.0f < 16384" a_words) true (a_words < 16384.0)
+
 let test_shinjuku_apic_limit () =
   let cfg = Baselines.Shinjuku.default_config ~n_workers:64 ~quantum_ns:(Units.us 5) in
   Alcotest.check_raises "over APIC limit"
@@ -352,6 +373,7 @@ let suites =
         Alcotest.test_case "beats no-preemption" `Slow test_shinjuku_beats_no_preemption;
         Alcotest.test_case "LP beats shinjuku" `Slow test_shinjuku_worse_than_libpreemptible;
         Alcotest.test_case "apic limit" `Quick test_shinjuku_apic_limit;
+        Alcotest.test_case "context pool is lazy" `Quick test_shinjuku_pool_lazy;
       ] );
     ( "baselines.libinger",
       [

@@ -44,6 +44,56 @@ let test_context_state_machine () =
   Alcotest.check_raises "double release" (Invalid_argument "Context.release: context already free")
     (fun () -> Ctx.release pool c)
 
+(* Model test: the pool against a reference copy of the eager free list
+   it replaced ([capacity] contexts preloaded as ids 0..capacity-1, LIFO
+   stack).  Both must hand out the same ids, raise [Pool_exhausted] on
+   the same request, and agree on the counters at every step. *)
+type ctx_op = Alloc | Release of int
+
+let lazy_pool_matches_eager_model =
+  QCheck.Test.make ~name:"context pool matches the eager free-list model" ~count:300
+    QCheck.(
+      pair (int_range 1 12)
+        (list_of_size (Gen.int_range 0 80)
+           (oneof [ always Alloc; map (fun i -> Release i) (int_range 0 15) ])))
+    (fun (capacity, ops) ->
+      let pool = Ctx.create_pool ~capacity ~stack_kb:16 in
+      let free = ref (List.init capacity Fun.id) in
+      let held = ref [] (* (ctx, id), newest first *) and used = ref 0 and hwm = ref 0 in
+      let counters_agree () =
+        Ctx.free_count pool = capacity - !used
+        && Ctx.in_use pool = !used
+        && Ctx.high_water pool = !hwm
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Alloc -> (
+              match (!free, Ctx.alloc pool) with
+              | [], _ -> false
+              | id :: rest, c ->
+                free := rest;
+                held := (c, id) :: !held;
+                incr used;
+                hwm := max !hwm !used;
+                Ctx.ctx_id c = id
+              | exception Ctx.Pool_exhausted -> !free = [])
+            | Release _ when !held = [] -> true
+            | Release i ->
+              let c, id = List.nth !held (i mod List.length !held) in
+              held := List.filter (fun (c', _) -> c' != c) !held;
+              free := id :: !free;
+              decr used;
+              Ctx.release pool c;
+              (try
+                 Ctx.release pool c;
+                 false
+               with Invalid_argument _ -> true)
+          in
+          same && counters_agree ())
+        ops)
+
 let test_context_pool_validation () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Context.create_pool: capacity must be positive") (fun () ->
@@ -76,6 +126,51 @@ let test_fn_lifecycle () =
   Preemptible.Fn.complete fn;
   check_bool "fn_completed" true (Preemptible.Fn.completed fn);
   check_int "sojourn" 19_900 (Preemptible.Fn.sojourn_ns fn ~now:20_000)
+
+(* A record recycled through [Fn.Pool] comes back exactly as a fresh
+   one would, whether its last request completed or was cancelled while
+   preempted. *)
+let test_fn_pool_reuse () =
+  let pool = Preemptible.Fn.Pool.create (Ctx.create_pool ~capacity:4 ~stack_kb:16) in
+  let req id service =
+    Workload.Request.make ~id ~arrival_ns:0 ~service_ns:service
+      ~cls:Workload.Request.Latency_critical
+  in
+  let check_fresh what fn r =
+    check_bool (what ^ ": created") true (Preemptible.Fn.status fn = Preemptible.Fn.Created);
+    check_int (what ^ ": no preemptions") 0 (Preemptible.Fn.preempt_count fn);
+    check_int (what ^ ": no deadline") max_int (Preemptible.Fn.deadline_ns fn);
+    check_int (what ^ ": full service remaining") r.Workload.Request.service_ns
+      (Preemptible.Fn.remaining_ns fn);
+    check_bool (what ^ ": bound to the new request") true (Preemptible.Fn.request fn == r)
+  in
+  let preempt_once fn =
+    Preemptible.Fn.launch fn ~now:0 ~quantum_ns:1_000;
+    Preemptible.Fn.note_progress fn ~executed_ns:1_000;
+    Preemptible.Fn.preempt fn
+  in
+  (* Complete path. *)
+  let first = Preemptible.Fn.Pool.acquire pool (req 0 3_000) in
+  preempt_once first;
+  Preemptible.Fn.resume first ~now:5_000 ~quantum_ns:max_int;
+  Preemptible.Fn.note_progress first ~executed_ns:2_000;
+  Preemptible.Fn.complete first;
+  Preemptible.Fn.Pool.release pool first;
+  let r = req 1 7_000 in
+  let second = Preemptible.Fn.Pool.acquire pool r in
+  check_bool "complete: record recycled" true (second == first);
+  check_fresh "complete" second r;
+  (* Cancel path: released while preempted, work left over. *)
+  preempt_once second;
+  Preemptible.Fn.Pool.release pool second;
+  let r = req 2 9_000 in
+  let third = Preemptible.Fn.Pool.acquire pool r in
+  check_bool "cancel: record recycled" true (third == first);
+  check_fresh "cancel" third r;
+  (* A fresh context gets its own record. *)
+  let other = Preemptible.Fn.Pool.acquire pool (req 3 1_000) in
+  check_bool "distinct record per context" true (other != third);
+  check_int "contexts in use" 2 (Ctx.in_use (Preemptible.Fn.Pool.contexts pool))
 
 let test_fn_infinite_quantum () =
   let fn = make_fn 100 in
@@ -675,6 +770,40 @@ let test_trace_from_tracegen () =
   let r = Server.run_trace cfg ~requests ~duration_ns:(Units.ms 10) in
   check_int "all requests completed" (List.length requests) r.Server.completed
 
+(* Words a run leaves in the major heap: direct major allocations plus
+   minor-heap survivors promoted during the run ([major_words] counts
+   both).  Deterministic in one domain once the heap starts empty. *)
+let major_words f =
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = f () in
+  (r, (Gc.quick_stat ()).Gc.major_words -. before)
+
+(* The pool size is the application's limit, not an up-front cost: a
+   run that never nears it returns the same result, and leaves the same
+   major-heap footprint (8192 eagerly built contexts cost ~49k words),
+   whatever the capacity. *)
+let test_server_pool_capacity_independent () =
+  let run capacity () =
+    let cfg =
+      Server.default_config ~n_workers:4
+        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:5_000)
+        ~mechanism:(Server.Uintr_utimer Utimer.default_config)
+    in
+    Server.run
+      { cfg with Server.ctx_pool_capacity = capacity }
+      ~arrival:(Workload.Arrival.poisson ~rate_per_sec:400_000.0)
+      ~source:a1_source ~duration_ns:(Units.ms 20)
+  in
+  let large, large_words = major_words (run 8192) in
+  let small, small_words = major_words (run 128) in
+  check_bool "run stays under the small capacity" true (large.Server.ctx_high_water < 128);
+  check_bool "identical results" true (compare large small = 0);
+  check_bool
+    (Printf.sprintf "major words %.0f vs %.0f" large_words small_words)
+    true
+    (Float.abs (large_words -. small_words) < 1024.0)
+
 let server_conservation_property =
   QCheck.Test.make ~name:"server conserves requests across random loads/quanta" ~count:8
     QCheck.(pair (int_range 50 800) (int_range 3 100))
@@ -694,12 +823,14 @@ let suites =
         Alcotest.test_case "alloc/release" `Quick test_context_alloc_release;
         Alcotest.test_case "state machine" `Quick test_context_state_machine;
         Alcotest.test_case "validation" `Quick test_context_pool_validation;
+        QCheck_alcotest.to_alcotest lazy_pool_matches_eager_model;
       ] );
     ( "preemptible.fn",
       [
         Alcotest.test_case "lifecycle" `Quick test_fn_lifecycle;
         Alcotest.test_case "infinite quantum" `Quick test_fn_infinite_quantum;
         Alcotest.test_case "invalid transitions" `Quick test_fn_invalid_transitions;
+        Alcotest.test_case "pool reuse" `Quick test_fn_pool_reuse;
       ] );
     ( "preemptible.rqueue",
       [
@@ -741,6 +872,8 @@ let suites =
         Alcotest.test_case "srpt oracle" `Slow test_server_srpt_oracle_beats_fcfs;
         Alcotest.test_case "edf discipline" `Slow test_server_edf_orders_by_deadline;
         Alcotest.test_case "slo cancellation" `Slow test_server_cancellation;
+        Alcotest.test_case "pool capacity independent" `Quick
+          test_server_pool_capacity_independent;
         Alcotest.test_case "trace: single exact" `Quick test_trace_single_request_exact;
         Alcotest.test_case "trace: fifo exact" `Quick test_trace_fifo_ordering_exact;
         Alcotest.test_case "trace: preemption reorders" `Quick test_trace_preemption_reorders;

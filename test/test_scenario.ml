@@ -350,6 +350,16 @@ let test_error_positions_point_at_token () =
   let e = expect_error "workers" "workers=many" in
   check_int "workers value offset" 8 e.Scenario.pos
 
+let test_duration_overflow () =
+  (* Digits past max_int, and a value whose unit scaling overflows, are
+     positioned parse errors rather than exceptions. *)
+  let text = "sys=lp; workers=4; quantum=99999999999999999999us; dur=5ms" in
+  let e = expect_error "quantum" text in
+  check_int "points at the value" (String.index text '9') e.Scenario.pos;
+  ignore (expect_error "dur" "dur=9999999999999999s");
+  check_bool "largest in-range value parses" true
+    (Result.is_ok (Scenario.of_string (Printf.sprintf "dur=%dns" max_int)))
+
 (* ------------------------------------------------------------------ *)
 (* Semantics                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -383,7 +393,44 @@ let test_validate () =
   bad "sys=go;fleet={n=2}";
   bad "sys=lp;fleet={n=3;workers=1/2}";
   bad "src=mica;arrival=poisson:0.5x";
+  (* Guard parameters are checked by [Guard.validate], as at run time. *)
+  bad "sys=lp;guard={shed={q=64;target=0us;interval=500us}}";
+  bad "sys=lp;guard={be-bucket=0x:16}";
+  bad "sys=lp;fleet={n=2};guard={be-bucket=0x:16}";
   ok "src=mica;arrival=poisson:100k"
+
+(* The CLI end to end: a bad spec gets a one-line diagnostic and exit
+   status 1, never an uncaught exception. *)
+let test_lpctl_rejects_bad_specs () =
+  let run spec =
+    let err = Filename.temp_file "lpctl" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/lpctl.exe run %s >/dev/null 2>%s" (Filename.quote spec)
+           (Filename.quote err))
+    in
+    let ic = open_in err in
+    let msg = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove err;
+    (code, String.trim msg)
+  in
+  List.iter
+    (fun (spec, expected) ->
+      let code, msg = run spec in
+      check_int (spec ^ ": exit status") 1 code;
+      check_string (spec ^ ": diagnostic") expected msg)
+    [
+      ( "sys=lp; workers=4; quantum=99999999999999999999us; src=a2; \
+         arrival=poisson:0.5x; dur=5ms",
+        "scenario: field 'quantum' at offset 27: duration \"99999999999999999999us\" \
+         is out of range" );
+      ( "sys=lp; workers=4; src=a2; arrival=poisson:0.5x; dur=5ms; \
+         guard={shed={q=64;target=0us;interval=500us}}",
+        "Guard: codel target must be positive" );
+      ( "sys=lp; workers=4; src=a2; arrival=poisson:0.5x; dur=5ms; guard={be-bucket=0x:16}",
+        "Guard(be): bucket rate must be positive" );
+    ]
 
 let test_run_server_smoke () =
   let s = spec_of_string "src=b;workers=2;arrival=poisson:0.4x;dur=5ms;seed=3" in
@@ -470,8 +517,10 @@ let suites =
         Alcotest.test_case "multiline blocks" `Quick test_multiline_blocks;
         Alcotest.test_case "errors name the field" `Quick test_errors_name_field;
         Alcotest.test_case "error positions" `Quick test_error_positions_point_at_token;
+        Alcotest.test_case "duration overflow" `Quick test_duration_overflow;
         Alcotest.test_case "capacity and rates" `Quick test_capacity_and_rates;
         Alcotest.test_case "validate" `Quick test_validate;
+        Alcotest.test_case "lpctl rejects bad specs" `Quick test_lpctl_rejects_bad_specs;
         Alcotest.test_case "run server smoke" `Quick test_run_server_smoke;
         Alcotest.test_case "run fleet smoke" `Quick test_run_fleet_smoke;
         Alcotest.test_case "fig8 spec equivalence" `Quick test_fig8_spec_equivalence;
