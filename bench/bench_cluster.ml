@@ -133,8 +133,8 @@ let crossover_section ~jobs =
       (fun (n, load, sys) ->
         let spec = crossover_spec ~n ~load sys in
         (* The hand-built version of this bench shared one controller
-           across all members (Cluster.uniform copies the member
-           config, closures included); the scenario lowering gives
+           across all members (it copied one member config, closures
+           included, into every slot); the scenario lowering gives
            each member its own.  Keep the shared-controller dynamics
            so the figure is unchanged. *)
         let cfg = Scenario.cluster_config spec in

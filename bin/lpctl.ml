@@ -48,15 +48,84 @@ let pool_trace =
       Some trace)
 
 (* ------------------------------------------------------------------ *)
-(* serve                                                               *)
+(* Flags -> scenario                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let workload_of_string duration_ns = function
-  | "a1" -> Ok Workload.Service_dist.workload_a1
-  | "a2" -> Ok Workload.Service_dist.workload_a2
-  | "b" -> Ok Workload.Service_dist.workload_b
-  | "c" -> Ok (Workload.Service_dist.workload_c ~duration_ns)
-  | s -> Error (`Msg (Printf.sprintf "unknown workload %S (a1|a2|b|c)" s))
+(* The simulation subcommands (serve, top, trace, faults, colocate)
+   translate flags into a scenario: each flag becomes one field written
+   in the spec language and parsed by Scenario itself, so the
+   vocabularies (systems, workloads, balancers, fault schedules) and
+   every constraint live there.  The spec is validated once, runs
+   through the lowering `lpctl run` uses, and is printed as a
+   "# <spec>" header, so `lpctl run '<spec>'` replays any CLI run. *)
+
+let fail msg =
+  prerr_endline msg;
+  exit 1
+
+(* A flag value spliced into spec text must stay one value: a field
+   separator or a comment in it would write other fields. *)
+let field_value flag v =
+  if String.exists (fun c -> c = ';' || c = '\n' || c = '#') v then
+    fail (Printf.sprintf "%s: %S is not a single value" flag v);
+  v
+
+(* One field at a time, so an error's offset points into that field. *)
+let spec_of_fields fields =
+  List.fold_left
+    (fun spec text ->
+      match Scenario.override spec text with
+      | Ok spec -> spec
+      | Error e -> fail (Scenario.error_to_string e))
+    Scenario.default fields
+
+let validated spec =
+  match Scenario.validate spec with Ok () -> spec | Error m -> fail m
+
+let rate_field rate = Printf.sprintf "arrival=poisson:%.17g" rate
+
+let quantum_field ?(adaptive = false) quantum_us =
+  Printf.sprintf (if adaptive then "quantum=adaptive:%dus" else "quantum=%dus") quantum_us
+
+let run_fields ~workers ~duration_ms ~seed =
+  [
+    Printf.sprintf "workers=%d" workers;
+    Printf.sprintf "dur=%dms" duration_ms;
+    Printf.sprintf "seed=%Ld" seed;
+  ]
+
+(* --timeout/--shed/--retry-budget/--brownout -> guard={...}.  All off
+   leaves no guard, the exact no-op path; --retry-budget 0 means
+   unbudgeted (naive) retries. *)
+let guard_field ~timeout_us ~shed ~retry_budget ~brownout =
+  let knobs =
+    (if timeout_us > 0 then [ Printf.sprintf "timeout=%dus;expire" timeout_us ] else [])
+    @ (if shed > 0 then [ Printf.sprintf "shed={q=%d}" shed ] else [])
+    @ (match retry_budget with
+      | None -> []
+      | Some r when r = 0.0 -> [ "retry" ]
+      | Some r ->
+        [ Printf.sprintf "retry={budget=%.17g:%.17g}" r (Float.max 1.0 (r /. 10.0)) ])
+    @ if brownout then [ "brownout" ] else []
+  in
+  if knobs = [] then [] else [ "guard={" ^ String.concat ";" knobs ^ "}" ]
+
+let header spec = Format.printf "# %s@." (Scenario.to_string spec)
+
+(* A run-time failure (no measured completions, the event cap) ends the
+   process with one diagnostic line, not a backtrace. *)
+let guarded f x = try f x with Failure m | Invalid_argument m -> fail ("lpctl: " ^ m)
+
+(* top and trace attach sinks the spec language does not describe, so
+   they record-update the lowered config and run it on the spec's
+   arrivals and source. *)
+let run_config ?probes spec cfg =
+  guarded
+    (fun () ->
+      Preemptible.Server.run ?probes ~warmup_ns:spec.Scenario.warmup_ns cfg
+        ~arrival:(Scenario.arrival_process spec) ~source:(Scenario.source_sampler spec)
+        ~duration_ns:spec.Scenario.duration_ns)
+    ()
 
 let pp_result r =
   Format.printf "%a@." Preemptible.Server.pp_result r;
@@ -70,137 +139,6 @@ let pp_result r =
   | Some g -> Format.printf "guard: %a@." Guard.pp_report g
   | None -> ()
 
-(* Build the overload-control config from the serve flags.  All four
-   knobs are off by default, which leaves [guard = None] — the exact
-   no-op path.  [--retry-budget 0] means budgetless (naive) retries. *)
-let guard_of_flags ~timeout_us ~shed_depth ~retry_budget ~brownout =
-  if timeout_us = 0 && shed_depth = 0 && retry_budget = None && not brownout then None
-  else begin
-    let timeout_ns = if timeout_us > 0 then Some (us timeout_us) else None in
-    let shed =
-      if shed_depth > 0 then Some { Guard.default_shed with Guard.max_queue = shed_depth }
-      else None
-    in
-    let retry =
-      match retry_budget with
-      | None -> None
-      | Some r when r < 0.0 ->
-        prerr_endline "--retry-budget expects a non-negative rate (tokens/s; 0 = unbudgeted)";
-        exit 1
-      | Some r when r > 0.0 ->
-        Some
-          {
-            Guard.default_retry with
-            Guard.budget = Some { Guard.rate_per_sec = r; burst = Float.max 1.0 (r /. 10.0) };
-          }
-      | Some _ -> Some Guard.default_retry
-    in
-    let cfg =
-      {
-        Guard.disabled with
-        Guard.timeout_ns;
-        drop_expired = timeout_us > 0;
-        shed;
-        retry;
-        brownout = (if brownout then Some Guard.default_brownout else None);
-      }
-    in
-    (* Surface a bad combination (e.g. retries without a timeout) as a
-       usage error here, before the sweep fans out. *)
-    (try Guard.validate cfg
-     with Invalid_argument m ->
-       prerr_endline m;
-       exit 1);
-    Some cfg
-  end
-
-(* One complete simulation at one offered rate; pure in [rate] so a
-   multi-rate sweep can fan out across pool domains. *)
-let serve_one ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard rate =
-  let arrival = Workload.Arrival.poisson ~rate_per_sec:rate in
-  let source = Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical in
-  match system with
-  | "lp" ->
-    let policy =
-      if adaptive then
-        Preemptible.Policy.adaptive
-          (Preemptible.Quantum_controller.create
-             ~max_load_per_s:
-               (float_of_int workers *. 1e9
-               /. Workload.Service_dist.mean_ns dist ~now:0)
-             ~initial_quantum_ns:quantum ())
-      else Preemptible.Policy.fcfs_preempt ~quantum_ns:quantum
-    in
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers ~policy
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    Preemptible.Server.run { cfg with Preemptible.Server.seed; guard } ~arrival ~source
-      ~duration_ns
-  | "lp-nouintr" ->
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers
-        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:quantum)
-        ~mechanism:(Preemptible.Server.Signal_utimer { poll_ns = 500 })
-    in
-    Preemptible.Server.run { cfg with Preemptible.Server.seed; guard } ~arrival ~source
-      ~duration_ns
-  | "shinjuku" ->
-    let cfg = Baselines.Shinjuku.default_config ~n_workers:workers ~quantum_ns:quantum in
-    Baselines.Shinjuku.run { cfg with Baselines.Shinjuku.seed } ~arrival ~source
-      ~duration_ns
-  | "libinger" ->
-    let cfg = Baselines.Libinger.default_config ~n_workers:workers ~quantum_ns:quantum in
-    Baselines.Libinger.run { cfg with Baselines.Libinger.seed } ~arrival ~source
-      ~duration_ns
-  | "nopreempt" ->
-    let cfg = Baselines.Nopreempt.default_config ~n_workers:workers in
-    Baselines.Nopreempt.run { cfg with Baselines.Nopreempt.seed } ~arrival ~source
-      ~duration_ns
-  | "go" ->
-    let cfg = Baselines.Goruntime.default_config ~n_workers:workers in
-    Baselines.Goruntime.run { cfg with Baselines.Goruntime.seed } ~arrival ~source
-      ~duration_ns
-  | s ->
-    prerr_endline
-      (Printf.sprintf "unknown system %S (lp|lp-nouintr|shinjuku|libinger|nopreempt|go)" s);
-    exit 1
-
-(* One fleet simulation at one offered rate (serve --servers N).  The
-   member config mirrors the single-server lp/lp-nouintr paths. *)
-let serve_fleet ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard
-    ~servers ~lb ~steal rate =
-  let arrival = Workload.Arrival.poisson ~rate_per_sec:rate in
-  let source = Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical in
-  let policy =
-    if adaptive then
-      Preemptible.Policy.adaptive
-        (Preemptible.Quantum_controller.create
-           ~max_load_per_s:
-             (float_of_int workers *. 1e9 /. Workload.Service_dist.mean_ns dist ~now:0)
-           ~initial_quantum_ns:quantum ())
-    else Preemptible.Policy.fcfs_preempt ~quantum_ns:quantum
-  in
-  let mechanism =
-    match system with
-    | "lp" -> Preemptible.Server.Uintr_utimer Utimer.default_config
-    | _ -> Preemptible.Server.Signal_utimer { poll_ns = 500 }
-  in
-  let member =
-    {
-      (Preemptible.Server.default_config ~n_workers:workers ~policy ~mechanism) with
-      Preemptible.Server.guard;
-    }
-  in
-  let cfg =
-    {
-      (Cluster.uniform ~n:servers ~lb member) with
-      Cluster.seed;
-      steal = (if steal then Some Cluster.default_steal else None);
-    }
-  in
-  Cluster.run cfg ~arrival ~source ~duration_ns
-
 let pp_fleet_result (r : Cluster.result) =
   Format.printf "%a@." Cluster.pp_fleet r.Cluster.fleet;
   Array.iteri
@@ -213,124 +151,115 @@ let pp_fleet_result (r : Cluster.result) =
         s.Preemptible.Server.worker_busy_frac s.Preemptible.Server.preemptions)
     r.Cluster.per_server
 
+(* Run validated specs (a multi-point sweep fans out across pool
+   domains) and print each result under its "# <spec>" header; [label]
+   prints a line ahead of each point of a sweep. *)
+let run_and_print ?(jobs = 1) ?(label = fun _ _ -> ()) specs =
+  let outcomes =
+    match specs with
+    | [ spec ] -> [ guarded Scenario.run spec ]
+    | specs ->
+      guarded
+        (Exec.Sweep.run ?trace:(Lazy.force pool_trace) ~label:"serve" ~jobs Scenario.run)
+        specs
+  in
+  List.iteri
+    (fun i (spec, outcome) ->
+      if List.length specs > 1 then label i outcome;
+      header spec;
+      match outcome with
+      | Scenario.Server r -> pp_result r
+      | Scenario.Fleet r -> pp_fleet_result r)
+    (List.combine specs outcomes);
+  outcomes
+
+(* Shared flags: each names one spec field. *)
+let workload_arg =
+  Arg.(
+    value & opt string "a1"
+    & info [ "workload" ] ~doc:"a1|a2|b|c, or any scenario source (see SCENARIOS.md)")
+
+let workers_arg = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads")
+let quantum_arg = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us")
+let duration_arg default =
+  Arg.(value & opt int default & info [ "duration" ] ~doc:"run length, ms")
+
+let seed_arg default =
+  Arg.(value & opt int64 default & info [ "seed" ] ~doc:"simulation seed")
+
+let rate_arg =
+  Arg.(value & opt float 500_000.0 & info [ "rate" ] ~doc:"offered load, requests/s")
+
+let adaptive_arg =
+  Arg.(value & flag & info [ "adaptive" ] ~doc:"use the Algorithm-1 controller")
+
+let timeout_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "timeout" ]
+        ~doc:"client patience, us (0 = none); also arms server-side expiry of abandoned work")
+
+let shed_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "shed" ]
+        ~doc:"bound total queue occupancy and shed on standing delay (0 = no shedding)")
+
+let brownout_arg =
+  Arg.(
+    value & flag
+    & info [ "brownout" ] ~doc:"enable the hysteretic brownout/circuit-breaker controller")
+
+(* ------------------------------------------------------------------ *)
+(* serve                                                               *)
+(* ------------------------------------------------------------------ *)
+
 let parse_rates s =
-  let parts = String.split_on_char ',' s |> List.map String.trim in
-  let rates = List.filter_map float_of_string_opt parts in
-  if List.length rates <> List.length parts || rates = [] || List.exists (fun r -> r <= 0.0) rates
-  then begin
-    prerr_endline
-      (Printf.sprintf "--rate expects positive requests/s, comma-separated for a sweep; got %S" s);
-    exit 1
-  end;
-  rates
+  let rates =
+    List.map (fun p -> float_of_string_opt (String.trim p)) (String.split_on_char ',' s)
+  in
+  if List.mem None rates then
+    fail (Printf.sprintf "--rate expects requests/s, comma-separated for a sweep; got %S" s);
+  List.map Option.get rates
 
 let serve system workload rate_s jobs quantum_us workers duration_ms adaptive seed
-    timeout_us shed_depth retry_budget brownout metrics_out servers lb_s steal =
-  let duration_ns = ms duration_ms in
+    timeout_us shed retry_budget brownout metrics_out servers lb steal =
   let rates = parse_rates rate_s in
-  (* Cluster flags validate before any simulation runs. *)
-  if servers < 1 then begin
-    prerr_endline "--servers expects a positive fleet size";
-    exit 1
-  end;
-  let lb =
-    match Cluster.lb_of_string lb_s with
-    | Ok lb -> lb
-    | Error m ->
-      prerr_endline ("--lb: " ^ m);
-      exit 1
+  let spec_at rate =
+    let spec =
+      spec_of_fields
+        ([
+           "sys=" ^ field_value "--system" system;
+           "src=" ^ field_value "--workload" workload;
+           rate_field rate;
+           quantum_field ~adaptive quantum_us;
+           Printf.sprintf "fleet={n=%d;lb=%s%s}" servers (field_value "--lb" lb)
+             (if steal then ";steal" else "");
+         ]
+        @ run_fields ~workers ~duration_ms ~seed
+        @ guard_field ~timeout_us ~shed ~retry_budget ~brownout)
+    in
+    (* One server without --steal is a plain server, not a fleet of one
+       (--lb was still parsed, so a bad name is rejected). *)
+    validated
+      (if servers = 1 && not steal then { spec with Scenario.fleet = None } else spec)
   in
-  if servers = 1 && steal then begin
-    prerr_endline "--steal needs a fleet (--servers > 1)";
-    exit 1
-  end;
-  if servers > 1 && not (List.mem system [ "lp"; "lp-nouintr" ]) then begin
-    prerr_endline
-      (Printf.sprintf "--servers applies to lp|lp-nouintr fleets, not %S" system);
-    exit 1
-  end;
-  if steal && retry_budget <> None then begin
-    prerr_endline
-      "--steal cannot be combined with --retry-budget (a stolen request's patience clock \
-       cannot follow it across servers)";
-    exit 1
-  end;
-  match workload_of_string duration_ns workload with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    exit 1
-  | Ok dist ->
-    let quantum = us quantum_us in
-    (* Reject an unknown system before the sweep fans out, so the error
-       surfaces once and on the main domain. *)
-    if
-      not
-        (List.mem system [ "lp"; "lp-nouintr"; "shinjuku"; "libinger"; "nopreempt"; "go" ])
-    then begin
-      prerr_endline
-        (Printf.sprintf "unknown system %S (lp|lp-nouintr|shinjuku|libinger|nopreempt|go)"
-           system);
-      exit 1
-    end;
-    (* Guard flags validate here too — bad knobs die once, before any
-       simulation runs. *)
-    let guard = guard_of_flags ~timeout_us ~shed_depth ~retry_budget ~brownout in
-    if guard <> None && not (List.mem system [ "lp"; "lp-nouintr" ]) then begin
-      prerr_endline
-        (Printf.sprintf "guard flags (--timeout/--shed/--retry-budget/--brownout) only \
-                         apply to lp|lp-nouintr, not %S" system);
-      exit 1
-    end;
-    if servers > 1 then begin
-      if metrics_out <> None then begin
-        prerr_endline "--metrics-out applies to single-server runs";
-        exit 1
-      end;
-      let run_one =
-        serve_fleet ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard
-          ~servers ~lb ~steal
-      in
-      (match rates with
-      | [ rate ] -> pp_fleet_result (run_one rate)
-      | rates ->
-        let results =
-          Exec.Sweep.run ?trace:(Lazy.force pool_trace) ~label:"serve" ~jobs run_one rates
-        in
-        List.iter2
-          (fun rate r ->
-            Format.printf "@.-- rate %.0f/s (fleet) --@." rate;
-            pp_fleet_result r)
-          rates results);
-      exit 0
-    end;
-    let run_one =
-      serve_one ~system ~dist ~quantum ~workers ~duration_ns ~adaptive ~seed ~guard
-    in
-    (* Prometheus text exposition of the run's metrics snapshot; for a
-       multi-rate sweep the last rate's snapshot wins (one scrape file,
-       valid exposition needs unique metric names). *)
-    let export_metrics (r : Preemptible.Server.result) =
-      match metrics_out with
-      | None -> ()
-      | Some path ->
-        Obs.Export.prometheus_to_file r.Preemptible.Server.metrics ~path;
-        Format.printf "(metrics: %s)@." path
-    in
-    (match rates with
-    | [ rate ] ->
-      let r = run_one rate in
-      pp_result r;
-      export_metrics r
-    | rates ->
-      let results =
-        Exec.Sweep.run ?trace:(Lazy.force pool_trace) ~label:"serve" ~jobs run_one rates
-      in
-      List.iter2
-        (fun rate r ->
-          Format.printf "@.-- rate %.0f/s --@." rate;
-          pp_result r)
-        rates results;
-      (match List.rev results with r :: _ -> export_metrics r | [] -> ()))
+  let specs = List.map spec_at rates in
+  if metrics_out <> None && servers > 1 then
+    fail "--metrics-out applies to single-server runs";
+  let label i = function
+    | Scenario.Server _ -> Format.printf "@.-- rate %.0f/s --@." (List.nth rates i)
+    | Scenario.Fleet _ -> Format.printf "@.-- rate %.0f/s (fleet) --@." (List.nth rates i)
+  in
+  let outcomes = run_and_print ~jobs ~label specs in
+  (* Prometheus text exposition of the run's metrics snapshot; for a
+     multi-rate sweep the last rate's snapshot wins (one scrape file,
+     valid exposition needs unique metric names). *)
+  match (metrics_out, List.rev outcomes) with
+  | Some path, Scenario.Server r :: _ ->
+    Obs.Export.prometheus_to_file r.Preemptible.Server.metrics ~path;
+    Format.printf "(metrics: %s)@." path
+  | _ -> ()
 
 let jobs_arg =
   Arg.(
@@ -342,28 +271,10 @@ let serve_cmd =
   let system =
     Arg.(value & opt string "lp" & info [ "system" ] ~doc:"lp|lp-nouintr|shinjuku|libinger|nopreempt|go")
   in
-  let workload = Arg.(value & opt string "a1" & info [ "workload" ] ~doc:"a1|a2|b|c") in
   let rate =
     Arg.(
       value & opt string "500000"
       & info [ "rate" ] ~doc:"offered load, requests/s; comma-separated list sweeps in parallel")
-  in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us") in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads") in
-  let duration = Arg.(value & opt int 100 & info [ "duration" ] ~doc:"run length, ms") in
-  let adaptive = Arg.(value & flag & info [ "adaptive" ] ~doc:"use the Algorithm-1 controller") in
-  let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"simulation seed") in
-  let timeout =
-    Arg.(
-      value & opt int 0
-      & info [ "timeout" ]
-          ~doc:"client patience, us (0 = none); also arms server-side expiry of abandoned work")
-  in
-  let shed =
-    Arg.(
-      value & opt int 0
-      & info [ "shed" ]
-          ~doc:"bound total queue occupancy and shed on standing delay (0 = no shedding)")
   in
   let retry_budget =
     Arg.(
@@ -372,11 +283,6 @@ let serve_cmd =
           ~doc:
             "enable client retries (4 attempts, exponential backoff) with a token budget \
              of this many retries/s; 0 = unbudgeted naive retries; requires --timeout")
-  in
-  let brownout =
-    Arg.(
-      value & flag
-      & info [ "brownout" ] ~doc:"enable the hysteretic brownout/circuit-breaker controller")
   in
   let metrics_out =
     Arg.(
@@ -409,9 +315,9 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"simulate a request-serving system under load"
        ~envs:[ env_pool_trace ])
     Term.(
-      const serve $ system $ workload $ rate $ jobs_arg $ quantum $ workers $ duration
-      $ adaptive $ seed $ timeout $ shed $ retry_budget $ brownout $ metrics_out $ servers
-      $ lb $ steal)
+      const serve $ system $ workload_arg $ rate $ jobs_arg $ quantum_arg $ workers_arg
+      $ duration_arg 100 $ adaptive_arg $ seed_arg 42L $ timeout_arg $ shed_arg
+      $ retry_budget $ brownout_arg $ metrics_out $ servers $ lb $ steal)
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)
@@ -469,136 +375,98 @@ let render_frame ~clear (f : Preemptible.Telemetry.frame) =
   Format.print_flush ()
 
 let top workload rate workers quantum_us adaptive duration_ms tick_us slo_us refresh_ms
-    once seed timeout_us shed_depth brownout =
-  let duration_ns = ms duration_ms in
-  if rate <= 0.0 then begin
-    prerr_endline "--rate must be positive";
-    exit 1
-  end;
-  if tick_us <= 0 then begin
-    prerr_endline "--tick must be positive (us)";
-    exit 1
-  end;
-  if slo_us <= 0 then begin
-    prerr_endline "--slo must be positive (us)";
-    exit 1
-  end;
-  if refresh_ms < 0 then begin
-    prerr_endline "--refresh-ms must be non-negative";
-    exit 1
-  end;
-  match workload_of_string duration_ns workload with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    exit 1
-  | Ok dist ->
-    let guard = guard_of_flags ~timeout_us ~shed_depth ~retry_budget:None ~brownout in
-    let tick_ns = us tick_us in
-    let slo_spec =
-      {
-        Obs.Slo.default_spec with
-        Obs.Slo.name = Printf.sprintf "p99_%dus" slo_us;
-        threshold_ns = us slo_us;
-        window_ns = tick_ns;
-        fast_windows = 2;
-        slow_windows = 6;
-        burn_threshold = 3.0;
-      }
-    in
-    let policy =
-      if adaptive then
-        Preemptible.Policy.adaptive
-          (Preemptible.Quantum_controller.create
-             ~max_load_per_s:
-               (float_of_int workers *. 1e9
-               /. Workload.Service_dist.mean_ns dist ~now:0)
-             ~initial_quantum_ns:(us quantum_us) ())
-      else Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us)
-    in
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers ~policy
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    let cfg =
-      {
-        cfg with
-        Preemptible.Server.seed;
-        guard;
-        (* A dashboard wants the controller acting at dashboard
-           timescales; the 100 ms default stats window would leave the
-           quantum frozen for short runs. *)
-        stats_window_ns = ms 2;
-        telemetry =
-          Some
-            {
-              Preemptible.Telemetry.default with
-              Preemptible.Telemetry.tick_ns;
-              slos = [ slo_spec ];
-            };
-      }
-    in
-    let last_frame = ref None in
-    let last_render = ref neg_infinity in
-    let refresh_s = float_of_int refresh_ms /. 1e3 in
-    let probes =
-      {
-        Preemptible.Server.no_probes with
-        Preemptible.Server.on_tick =
-          (fun frame ->
-            last_frame := Some frame;
-            if not once then begin
-              let now = Unix.gettimeofday () in
-              if now -. !last_render >= refresh_s then begin
-                last_render := now;
-                render_frame ~clear:true frame
-              end
-            end);
-      }
-    in
-    let r =
-      Preemptible.Server.run ~probes cfg
-        ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-        ~source:(Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical)
-        ~duration_ns
-    in
-    (* Final frame: the only render in --once mode; live mode repaints
-       it so the terminal ends on the last state, not mid-run. *)
-    (match !last_frame with
-    | Some frame -> render_frame ~clear:(not once) frame
-    | None ->
-      Format.printf "lpctl top: no telemetry frame recorded (duration below one tick?)@.");
-    (match r.Preemptible.Server.telemetry with
-    | None -> ()
-    | Some tel ->
-      Format.printf "@.run summary: %d ticks, %d completed, p99=%.1fus@."
-        tel.Preemptible.Telemetry.t_ticks r.Preemptible.Server.completed
-        (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
-      Format.printf "  LC: %a@." Stat.Summary.pp_report_opt_us r.Preemptible.Server.lc;
-      Array.iteri
-        (fun i c ->
-          Format.printf "  core %d: %a@." i Preemptible.Telemetry.pp_core_attr c)
-        tel.Preemptible.Telemetry.t_cores;
-      List.iter
-        (fun rep -> Format.printf "  %a@." Obs.Slo.pp_report rep)
-        tel.Preemptible.Telemetry.t_slos;
-      Format.printf "  controller audit: %d decisions (%d dropped)@."
-        (List.length tel.Preemptible.Telemetry.t_audit)
-        tel.Preemptible.Telemetry.t_audit_dropped);
-    match r.Preemptible.Server.guard with
-    | Some g -> Format.printf "  guard: %a@." Guard.pp_report g
-    | None -> ()
+    once seed timeout_us shed brownout =
+  if tick_us <= 0 then fail "--tick must be positive (us)";
+  if slo_us <= 0 then fail "--slo must be positive (us)";
+  if refresh_ms < 0 then fail "--refresh-ms must be non-negative";
+  let spec =
+    validated
+      (spec_of_fields
+         ([
+            "src=" ^ field_value "--workload" workload;
+            rate_field rate;
+            quantum_field ~adaptive quantum_us;
+            (* A dashboard wants the controller acting at dashboard
+               timescales; the 100 ms default stats window would leave
+               the quantum frozen for short runs. *)
+            "window=2ms";
+          ]
+         @ run_fields ~workers ~duration_ms ~seed
+         @ guard_field ~timeout_us ~shed ~retry_budget:None ~brownout))
+  in
+  let tick_ns = us tick_us in
+  let slo_spec =
+    {
+      Obs.Slo.default_spec with
+      Obs.Slo.name = Printf.sprintf "p99_%dus" slo_us;
+      threshold_ns = us slo_us;
+      window_ns = tick_ns;
+      fast_windows = 2;
+      slow_windows = 6;
+      burn_threshold = 3.0;
+    }
+  in
+  let cfg =
+    {
+      (Scenario.server_config spec) with
+      Preemptible.Server.telemetry =
+        Some
+          {
+            Preemptible.Telemetry.default with
+            Preemptible.Telemetry.tick_ns;
+            slos = [ slo_spec ];
+          };
+    }
+  in
+  let last_frame = ref None in
+  let last_render = ref neg_infinity in
+  let refresh_s = float_of_int refresh_ms /. 1e3 in
+  let probes =
+    {
+      Preemptible.Server.no_probes with
+      Preemptible.Server.on_tick =
+        (fun frame ->
+          last_frame := Some frame;
+          if not once then begin
+            let now = Unix.gettimeofday () in
+            if now -. !last_render >= refresh_s then begin
+              last_render := now;
+              render_frame ~clear:true frame
+            end
+          end);
+    }
+  in
+  let r = run_config ~probes spec cfg in
+  (* Final frame: the only render in --once mode; live mode repaints
+     it so the terminal ends on the last state, not mid-run. *)
+  (match !last_frame with
+  | Some frame -> render_frame ~clear:(not once) frame
+  | None ->
+    Format.printf "lpctl top: no telemetry frame recorded (duration below one tick?)@.");
+  (match r.Preemptible.Server.telemetry with
+  | None -> ()
+  | Some tel ->
+    Format.printf "@.";
+    header spec;
+    Format.printf "run summary: %d ticks, %d completed, p99=%.1fus@."
+      tel.Preemptible.Telemetry.t_ticks r.Preemptible.Server.completed
+      (r.Preemptible.Server.all.Stat.Summary.p99 /. 1e3);
+    Format.printf "  LC: %a@." Stat.Summary.pp_report_opt_us r.Preemptible.Server.lc;
+    Array.iteri
+      (fun i c ->
+        Format.printf "  core %d: %a@." i Preemptible.Telemetry.pp_core_attr c)
+      tel.Preemptible.Telemetry.t_cores;
+    List.iter
+      (fun rep -> Format.printf "  %a@." Obs.Slo.pp_report rep)
+      tel.Preemptible.Telemetry.t_slos;
+    Format.printf "  controller audit: %d decisions (%d dropped)@."
+      (List.length tel.Preemptible.Telemetry.t_audit)
+      tel.Preemptible.Telemetry.t_audit_dropped);
+  match r.Preemptible.Server.guard with
+  | Some g -> Format.printf "  guard: %a@." Guard.pp_report g
+  | None -> ()
 
 let top_cmd =
-  let workload = Arg.(value & opt string "a1" & info [ "workload" ] ~doc:"a1|a2|b|c") in
-  let rate =
-    Arg.(value & opt float 500_000.0 & info [ "rate" ] ~doc:"offered load, requests/s")
-  in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads") in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us") in
-  let adaptive =
-    Arg.(value & flag & info [ "adaptive" ] ~doc:"use the Algorithm-1 controller")
-  in
-  let duration = Arg.(value & opt int 200 & info [ "duration" ] ~doc:"run length, ms") in
   let tick =
     Arg.(value & opt int 1000 & info [ "tick" ] ~doc:"telemetry tick / SLO window, us")
   in
@@ -617,21 +485,12 @@ let top_cmd =
       value & flag
       & info [ "once" ] ~doc:"no live repaints; print the final frame once and exit")
   in
-  let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"simulation seed") in
-  let timeout =
-    Arg.(value & opt int 0 & info [ "timeout" ] ~doc:"client patience, us (0 = none)")
-  in
-  let shed =
-    Arg.(value & opt int 0 & info [ "shed" ] ~doc:"queue bound for shedding (0 = off)")
-  in
-  let brownout =
-    Arg.(value & flag & info [ "brownout" ] ~doc:"enable the brownout controller")
-  in
   Cmd.v
     (Cmd.info "top" ~doc:"live telemetry dashboard for a simulated server")
     Term.(
-      const top $ workload $ rate $ workers $ quantum $ adaptive $ duration $ tick $ slo
-      $ refresh $ once $ seed $ timeout $ shed $ brownout)
+      const top $ workload_arg $ rate_arg $ workers_arg $ quantum_arg $ adaptive_arg
+      $ duration_arg 200 $ tick $ slo $ refresh $ once $ seed_arg 42L $ timeout_arg
+      $ shed_arg $ brownout_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ipc                                                                 *)
@@ -688,36 +547,27 @@ let timer_cmd =
 (* ------------------------------------------------------------------ *)
 
 let colocate rate quantum_us be_fraction duration_ms =
-  let mica = Workload.Mica.create () in
-  let zlib = Workload.Zlib_be.create () in
-  let source =
-    Workload.Source.mix
-      [ (1.0 -. be_fraction, Workload.Mica.source mica); (be_fraction, Workload.Zlib_be.source zlib) ]
+  let spec =
+    validated
+      (spec_of_fields
+         [
+           "workers=1";
+           Printf.sprintf "src=mix(%.17g*mica,%.17g*zlib)" (1.0 -. be_fraction) be_fraction;
+           (if quantum_us = 0 then "quantum=none" else quantum_field quantum_us);
+           rate_field rate;
+           Printf.sprintf "dur=%dms" duration_ms;
+         ])
   in
-  let policy =
-    if quantum_us = 0 then Preemptible.Policy.no_preempt
-    else Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us)
-  in
-  let mechanism =
-    if quantum_us = 0 then Preemptible.Server.No_mechanism
-    else Preemptible.Server.Uintr_utimer Utimer.default_config
-  in
-  let cfg = Preemptible.Server.default_config ~n_workers:1 ~policy ~mechanism in
-  let r =
-    Preemptible.Server.run cfg
-      ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-      ~source ~duration_ns:(ms duration_ms)
-  in
-  pp_result r
+  header spec;
+  pp_result (guarded Scenario.run_server spec)
 
 let colocate_cmd =
   let rate = Arg.(value & opt float 55_000.0 & info [ "rate" ] ~doc:"requests/s") in
   let quantum = Arg.(value & opt int 30 & info [ "quantum" ] ~doc:"us; 0 = no preemption") in
   let be = Arg.(value & opt float 0.02 & info [ "be-fraction" ] ~doc:"best-effort share") in
-  let duration = Arg.(value & opt int 300 & info [ "duration" ] ~doc:"ms") in
   Cmd.v
     (Cmd.info "colocate" ~doc:"Sec V-C: MICA (LC) + zlib (BE) on one worker")
-    Term.(const colocate $ rate $ quantum $ be $ duration)
+    Term.(const colocate $ rate $ quantum $ be $ duration_arg 300)
 
 (* ------------------------------------------------------------------ *)
 (* precision                                                           *)
@@ -765,96 +615,68 @@ let faults_csv rows =
     close_out oc;
     Format.printf "(csv: %s)@." path
 
-let faults rate spec recovery seed workers quantum_us load duration_ms =
-  let duration_ns = ms duration_ms in
-  let dist = Workload.Service_dist.workload_a1 in
-  let capacity =
-    float_of_int workers *. 1e9 /. Workload.Service_dist.mean_ns dist ~now:0
+let faults rate plan recovery seed workers quantum_us load duration_ms =
+  let runs =
+    match recovery with
+    | "off" -> [ ("recovery-off", []) ]
+    | "on" -> [ ("recovery-on", [ "watchdog" ]) ]
+    | "both" -> [ ("recovery-off", []); ("recovery-on", [ "watchdog" ]) ]
+    | s -> fail (Printf.sprintf "unknown --recovery %S (on|off|both)" s)
   in
-  let arrival = Workload.Arrival.poisson ~rate_per_sec:(load *. capacity) in
-  let source = Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical in
-  let spec = if spec = "" then Printf.sprintf "uipi.drop=p:%g" rate else spec in
-  (match recovery with
-  | "on" | "off" | "both" -> ()
-  | s ->
-    prerr_endline (Printf.sprintf "unknown --recovery %S (on|off|both)" s);
-    exit 1);
-  (match Fault.parse (Fault.create ~seed ()) spec with
-  | Ok () -> ()
-  | Error m ->
-    prerr_endline ("bad --spec: " ^ m);
-    exit 1);
-  let run_one ~plan ~watchdog =
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers
-        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us))
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    Preemptible.Server.run
-      { cfg with Preemptible.Server.faults = plan; watchdog; seed }
-      ~arrival ~source ~duration_ns
+  let plan = if plan = "" then Printf.sprintf "uipi.drop=p:%g" rate else plan in
+  let fields =
+    [ "src=a1"; Printf.sprintf "arrival=poisson:%.17gx" load; quantum_field quantum_us ]
+    @ run_fields ~workers ~duration_ms ~seed
   in
-  let plan () =
-    let f = Fault.create ~seed () in
-    (match Fault.parse f spec with
-    | Ok () -> ()
-    | Error m ->
-      prerr_endline ("bad --spec: " ^ m);
-      exit 1);
-    Some f
+  (* Every spec, fault schedule included, validates before the
+     fault-free run spends any time. *)
+  let base = validated (spec_of_fields fields) in
+  let faulty =
+    List.map
+      (fun (name, watchdog) ->
+        let faults = "faults={" ^ field_value "--spec" plan ^ "}" in
+        (name, validated (spec_of_fields (fields @ (faults :: watchdog)))))
+      runs
   in
-  let base = run_one ~plan:None ~watchdog:None in
-  let base_p99 = base.Preemptible.Server.all.Stat.Summary.p99 in
+  let run spec =
+    header spec;
+    guarded Scenario.run_server spec
+  in
+  let base_p99 = (run base).Preemptible.Server.all.Stat.Summary.p99 in
   Format.printf "fault-free      p99=%8.1fus@." (base_p99 /. 1e3);
-  let rows = ref [] in
-  let show name r =
-    let p99 = r.Preemptible.Server.all.Stat.Summary.p99 in
-    (match r.Preemptible.Server.resilience with
-    | Some res ->
-      Format.printf "%-15s p99=%8.1fus (%5.1fx)@.  %a@." name (p99 /. 1e3)
-        (p99 /. base_p99) Preemptible.Server.pp_resilience res;
-      let fr = res.Preemptible.Server.fault_report in
-      rows :=
-        Printf.sprintf "%s,%.1f,%.3f,%d,%d,%d,%d" name (p99 /. 1e3) (p99 /. base_p99)
-          fr.Fault.injected fr.Fault.detected fr.Fault.recovered fr.Fault.undetected
-        :: !rows
-    | None -> ())
-  in
-  (match recovery with
-  | "off" -> show "recovery-off" (run_one ~plan:(plan ()) ~watchdog:None)
-  | "on" ->
-    show "recovery-on"
-      (run_one ~plan:(plan ()) ~watchdog:(Some Utimer.default_watchdog))
-  | "both" ->
-    show "recovery-off" (run_one ~plan:(plan ()) ~watchdog:None);
-    show "recovery-on"
-      (run_one ~plan:(plan ()) ~watchdog:(Some Utimer.default_watchdog))
-  | s ->
-    prerr_endline (Printf.sprintf "unknown --recovery %S (on|off|both)" s);
-    exit 1);
-  faults_csv (List.rev !rows)
+  faults_csv
+    (List.filter_map
+       (fun (name, spec) ->
+         let r = run spec in
+         let p99 = r.Preemptible.Server.all.Stat.Summary.p99 in
+         Option.map
+           (fun res ->
+             Format.printf "%-15s p99=%8.1fus (%5.1fx)@.  %a@." name (p99 /. 1e3)
+               (p99 /. base_p99) Preemptible.Server.pp_resilience res;
+             let fr = res.Preemptible.Server.fault_report in
+             Printf.sprintf "%s,%.1f,%.3f,%d,%d,%d,%d" name (p99 /. 1e3) (p99 /. base_p99)
+               fr.Fault.injected fr.Fault.detected fr.Fault.recovered fr.Fault.undetected)
+           r.Preemptible.Server.resilience)
+       faulty)
 
 let faults_cmd =
   let rate =
     Arg.(value & opt float 0.01 & info [ "rate" ] ~doc:"UIPI loss probability (ignored with --spec)")
   in
-  let spec =
+  let plan =
     Arg.(
       value & opt string ""
       & info [ "spec" ]
           ~doc:"fault schedule, e.g. uipi.drop=p:0.01,utimer.crash=once:2000")
   in
   let recovery = Arg.(value & opt string "both" & info [ "recovery" ] ~doc:"on|off|both") in
-  let seed = Arg.(value & opt int64 7L & info [ "seed" ] ~doc:"simulation + fault seed") in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ]) in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"us") in
   let load = Arg.(value & opt float 0.6 & info [ "load" ] ~doc:"fraction of capacity") in
-  let duration = Arg.(value & opt int 60 & info [ "duration" ] ~doc:"ms") in
   Cmd.v
     (Cmd.info "faults" ~doc:"resilience: fault injection with recovery on/off"
        ~envs:[ env_bench_csv ])
     Term.(
-      const faults $ rate $ spec $ recovery $ seed $ workers $ quantum $ load $ duration)
+      const faults $ rate $ plan $ recovery $ seed_arg 7L $ workers_arg $ quantum_arg $ load
+      $ duration_arg 60)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -868,34 +690,12 @@ let parse_categories s =
     |> List.map (fun c ->
            match Obs.Trace.cat_of_string c with
            | Ok cat -> cat
-           | Error m ->
-             prerr_endline ("bad --categories: " ^ m);
-             exit 1)
+           | Error m -> fail ("bad --categories: " ^ m))
 
 let trace out categories buffer_events breakdown workload rate quantum_us workers
     duration_ms seed =
-  let duration_ns = ms duration_ms in
   (* Validate every knob before the simulation spends any time. *)
-  if buffer_events <= 0 then begin
-    prerr_endline "--buffer-events must be positive";
-    exit 1
-  end;
-  if workers <= 0 then begin
-    prerr_endline "--workers must be positive";
-    exit 1
-  end;
-  if quantum_us <= 0 then begin
-    prerr_endline "--quantum must be positive";
-    exit 1
-  end;
-  if rate <= 0.0 then begin
-    prerr_endline "--rate must be positive";
-    exit 1
-  end;
-  if duration_ms <= 0 then begin
-    prerr_endline "--duration must be positive";
-    exit 1
-  end;
+  if buffer_events <= 0 then fail "--buffer-events must be positive";
   let categories = parse_categories categories in
   let out =
     match out with
@@ -907,45 +707,38 @@ let trace out categories buffer_events breakdown workload rate quantum_us worker
       | None -> "trace.json")
     | f -> f
   in
-  match workload_of_string duration_ns workload with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    exit 1
-  | Ok dist ->
-    let cfg =
-      Preemptible.Server.default_config ~n_workers:workers
-        ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(us quantum_us))
-        ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
-    in
-    let cfg =
-      {
-        cfg with
-        Preemptible.Server.seed;
-        trace = Some { Obs.Trace.capacity = buffer_events; categories };
-      }
-    in
-    let r =
-      Preemptible.Server.run cfg
-        ~arrival:(Workload.Arrival.poisson ~rate_per_sec:rate)
-        ~source:(Workload.Source.of_dist dist ~cls:Workload.Request.Latency_critical)
-        ~duration_ns
-    in
-    pp_result r;
-    (match r.Preemptible.Server.trace with
-    | None -> ()
-    | Some tr ->
-      Obs.Export.perfetto_to_file tr ~path:out;
-      Format.printf "trace: %d events recorded, %d dropped -> %s@." (Obs.Trace.recorded tr)
-        (Obs.Trace.dropped tr) out;
-      if breakdown then begin
-        let bd = Obs.Breakdown.of_trace tr in
-        Format.printf "%a@." Obs.Breakdown.pp bd;
-        if not (Obs.Breakdown.sums_ok bd) then begin
-          prerr_endline "breakdown components do not telescope to total latency";
-          exit 1
-        end
-      end);
-    Format.printf "metrics:@.%a@." Obs.Metrics.pp_snapshot r.Preemptible.Server.metrics
+  let spec =
+    validated
+      (spec_of_fields
+         ([
+            "src=" ^ field_value "--workload" workload;
+            rate_field rate;
+            quantum_field quantum_us;
+          ]
+         @ run_fields ~workers ~duration_ms ~seed))
+  in
+  let cfg =
+    {
+      (Scenario.server_config spec) with
+      Preemptible.Server.trace = Some { Obs.Trace.capacity = buffer_events; categories };
+    }
+  in
+  header spec;
+  let r = run_config spec cfg in
+  pp_result r;
+  (match r.Preemptible.Server.trace with
+  | None -> ()
+  | Some tr ->
+    Obs.Export.perfetto_to_file tr ~path:out;
+    Format.printf "trace: %d events recorded, %d dropped -> %s@." (Obs.Trace.recorded tr)
+      (Obs.Trace.dropped tr) out;
+    if breakdown then begin
+      let bd = Obs.Breakdown.of_trace tr in
+      Format.printf "%a@." Obs.Breakdown.pp bd;
+      if not (Obs.Breakdown.sums_ok bd) then
+        fail "breakdown components do not telescope to total latency"
+    end);
+  Format.printf "metrics:@.%a@." Obs.Metrics.pp_snapshot r.Preemptible.Server.metrics
 
 let trace_cmd =
   let out =
@@ -968,18 +761,12 @@ let trace_cmd =
   let breakdown =
     Arg.(value & flag & info [ "breakdown" ] ~doc:"print the per-request latency breakdown")
   in
-  let workload = Arg.(value & opt string "a1" & info [ "workload" ] ~doc:"a1|a2|b|c") in
-  let rate = Arg.(value & opt float 500_000.0 & info [ "rate" ] ~doc:"offered load, requests/s") in
-  let quantum = Arg.(value & opt int 5 & info [ "quantum" ] ~doc:"time quantum, us") in
-  let workers = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"worker threads") in
-  let duration = Arg.(value & opt int 100 & info [ "duration" ] ~doc:"run length, ms") in
-  let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"simulation seed") in
   Cmd.v
     (Cmd.info "trace" ~doc:"traced LibPreemptible run: Perfetto export + latency breakdown"
        ~envs:[ env_trace_out ])
     Term.(
-      const trace $ out $ categories $ buffer_events $ breakdown $ workload $ rate $ quantum
-      $ workers $ duration $ seed)
+      const trace $ out $ categories $ buffer_events $ breakdown $ workload_arg $ rate_arg
+      $ quantum_arg $ workers_arg $ duration_arg 100 $ seed_arg 42L)
 
 (* ------------------------------------------------------------------ *)
 (* run (declarative scenarios)                                         *)
@@ -999,45 +786,26 @@ let run_scenario scenario sets print_only rt =
     else Scenario.of_string scenario
   in
   let spec =
-    match parsed with
-    | Ok spec -> spec
-    | Error e ->
-      prerr_endline (Scenario.error_to_string e);
-      exit 1
+    match parsed with Ok spec -> spec | Error e -> fail (Scenario.error_to_string e)
   in
   let spec =
     List.fold_left
       (fun spec text ->
         match Scenario.override spec text with
         | Ok spec -> spec
-        | Error e ->
-          prerr_endline ("-s " ^ text ^ ": " ^ Scenario.error_to_string e);
-          exit 1)
+        | Error e -> fail ("-s " ^ text ^ ": " ^ Scenario.error_to_string e))
       spec sets
   in
-  (match Scenario.validate spec with
-  | Ok () -> ()
-  | Error m ->
-    prerr_endline m;
-    exit 1);
+  let spec = validated spec in
   if print_only then print_string (Scenario.to_string spec)
   else if rt then begin
-    (match Scenario.validate_rt spec with
-    | Ok () -> ()
-    | Error m ->
-      prerr_endline ("--rt: " ^ m);
-      exit 1);
-    Format.printf "# %s@." (Scenario.to_string spec);
+    (match Scenario.validate_rt spec with Ok () -> () | Error m -> fail ("--rt: " ^ m));
+    header spec;
     Format.printf "# executing on %d real domain(s) + 1 timer domain (wall clock)@."
       spec.Scenario.workers;
-    Format.printf "%a@." Fiber_rt.Sched.pp_result (Scenario.run_rt spec)
+    Format.printf "%a@." Fiber_rt.Sched.pp_result (guarded Scenario.run_rt spec)
   end
-  else begin
-    Format.printf "# %s@." (Scenario.to_string spec);
-    match Scenario.run spec with
-    | Scenario.Server r -> pp_result r
-    | Scenario.Fleet r -> pp_fleet_result r
-  end
+  else ignore (run_and_print [ spec ])
 
 let run_cmd =
   let scenario =

@@ -35,17 +35,6 @@ type config = {
   tick_ns : int option;
 }
 
-let uniform ~n ~lb member =
-  if n <= 0 then invalid_arg "Cluster.uniform: need at least one member";
-  {
-    members = Array.make n member;
-    lb;
-    steal = None;
-    seed = 42L;
-    max_events = 400_000_000;
-    tick_ns = None;
-  }
-
 type tick = {
   ck_at_ns : int;
   ck_inflight : int array;

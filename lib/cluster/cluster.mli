@@ -66,9 +66,10 @@ type config = {
       (** fleet telemetry tick period; [None] skips the loop entirely *)
 }
 
-val uniform : n:int -> lb:lb -> Preemptible.Server.config -> config
-(** A homogeneous fleet of [n] copies of one member config, no
-    stealing, no tick, seed 42, a 400M-event cap. *)
+val validate : config -> unit
+(** The checks {!run} makes before any simulation work: raises
+    [Invalid_argument] for an empty fleet, bad steal knobs, or
+    stealing combined with retry guards. *)
 
 (** One fleet telemetry frame (when [tick_ns] is set). *)
 type tick = {
@@ -137,8 +138,8 @@ val run :
 (** Simulate the fleet under one open-loop arrival stream for
     [duration_ns]; arrivals then stop and every member drains.
     Requests arriving in [warmup_ns, duration_ns) are measured.
-    Raises [Invalid_argument] on inconsistent parameters (empty fleet,
-    bad steal knobs, stealing combined with retry guards) — before any
-    simulation work — and [Failure] if the event cap is hit. *)
+    Raises [Invalid_argument] when {!validate} rejects [config] —
+    before any simulation work — and [Failure] if the event cap is hit
+    or a member saw no measured completions. *)
 
 val pp_fleet : Format.formatter -> fleet -> unit

@@ -200,7 +200,8 @@ val run :
     [duration_ns]; arrivals then stop and the system drains.  Requests
     arriving in [warmup_ns, duration_ns) are measured.  Raises
     [Invalid_argument] on inconsistent parameters and [Failure] if the
-    event cap is hit before the system drains. *)
+    event cap is hit before the system drains or no measured request
+    completed. *)
 
 val run_trace :
   ?probes:probes ->
@@ -276,4 +277,5 @@ val steal_from : victim:t -> thief:t -> max:int -> int
 
 val finish : t -> result
 (** Collect the result after the shared engine drained.  Raises
-    [Failure] when requests are still outstanding (event cap hit). *)
+    [Failure] when requests are still outstanding (event cap hit) or
+    none of the measured requests completed. *)

@@ -1344,15 +1344,41 @@ let run_fleet ?probes s =
 let run s =
   if s.fleet <> None then Fleet (run_fleet s) else Server (run_server s)
 
+(* The run shape Server.run and Cluster.run check before simulating:
+   integer comparisons only, so validating stays as cheap as lowering. *)
+let check_shape s =
+  let reject fmt = Printf.ksprintf invalid_arg ("scenario: " ^^ fmt) in
+  if s.workers < 1 then reject "workers must be at least 1 (got %d)" s.workers;
+  if s.duration_ns <= 0 then reject "dur must be positive";
+  if s.warmup_ns < 0 || s.warmup_ns >= s.duration_ns then
+    reject "warmup (%s) must lie in [0, dur) with dur=%s" (time_str s.warmup_ns)
+      (time_str s.duration_ns);
+  match s.fleet with
+  | Some f ->
+    if f.f_n < 1 then reject "fleet needs n >= 1 (got %d)" f.f_n;
+    if f.f_steal <> None && f.f_n < 2 then
+      reject "fleet steal needs n >= 2 (a lone server has no one to steal from)";
+    Option.iter
+      (List.iter (fun w ->
+           if w < 1 then reject "fleet workers entries must be at least 1 (got %d)" w))
+      f.f_workers
+  | None -> ()
+
 let validate s =
   match
+    check_shape s;
     (match s.system with
     | Lp | Lp_nouintr ->
-      (* The check [Guard.create] runs when each server starts. *)
+      (* The checks [Guard.create] and [Cluster.run] make before
+         simulating. *)
       let check (cfg : Preemptible.Server.config) =
         Option.iter Guard.validate cfg.Preemptible.Server.guard
       in
-      if s.fleet <> None then Array.iter check (cluster_config s).Cluster.members
+      if s.fleet <> None then begin
+        let c = cluster_config s in
+        Array.iter check c.Cluster.members;
+        Cluster.validate c
+      end
       else check (server_config s)
     | sys ->
       baseline_reject s (system_name sys);

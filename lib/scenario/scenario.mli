@@ -222,10 +222,14 @@ val cluster_config : t -> Cluster.config
     reference. *)
 
 val validate : t -> (unit, string) result
-(** Cross-field checks without running: baseline systems reject
-    lp-only knobs (guard, faults, fleets, adaptive quanta), fault
-    specs must parse, fleet worker lists must match [n], relative
-    rates need an analytic service mean, etc. *)
+(** Cross-field checks without running: the run shape (workers and
+    every fleet member's workers at least 1, [dur > 0], warmup in
+    [\[0, dur)], stealing only in fleets of two or more), baseline
+    systems reject lp-only knobs (guard, faults, fleets, adaptive
+    quanta), fault specs must parse, fleet worker lists must match
+    [n], guard and fleet knobs pass the checks {!Guard.validate} and
+    {!Cluster.validate} make at run time, relative rates need an
+    analytic service mean, etc. *)
 
 (** {1 Running} *)
 

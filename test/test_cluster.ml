@@ -14,6 +14,18 @@ let member ~workers =
     ~policy:(Preemptible.Policy.fcfs_preempt ~quantum_ns:(Units.us 5))
     ~mechanism:(Preemptible.Server.Uintr_utimer Utimer.default_config)
 
+(* A homogeneous fleet; [Array.init] gives each member its own config
+   (and so its own policy state). *)
+let fleet_config ~n ~lb ~workers =
+  {
+    Cluster.members = Array.init n (fun _ -> member ~workers);
+    lb;
+    steal = None;
+    seed = 42L;
+    max_events = 400_000_000;
+    tick_ns = None;
+  }
+
 (* Offered rate as a fraction of total fleet capacity. *)
 let fleet_rate ~n ~workers ~load dist =
   load *. float_of_int (n * workers) *. 1e9 /. Workload.Service_dist.mean_ns dist ~now:0
@@ -22,7 +34,7 @@ let run_fleet ?steal ?tick_ns ?(lb = Cluster.Random) ?(n = 4) ?(workers = 2)
     ?(seed = 1L) ?(load = 0.6) ?(duration = Units.ms 20) ?(warmup = 0) () =
   let dist = Workload.Service_dist.workload_b in
   let cfg =
-    { (Cluster.uniform ~n ~lb (member ~workers)) with Cluster.steal; seed; tick_ns }
+    { (fleet_config ~n ~lb ~workers) with Cluster.steal; seed; tick_ns }
   in
   Cluster.run ~warmup_ns:warmup cfg
     ~arrival:(Workload.Arrival.poisson ~rate_per_sec:(fleet_rate ~n ~workers ~load dist))
@@ -98,7 +110,7 @@ let test_telemetry_ticks () =
   let dist = Workload.Service_dist.workload_b in
   let cfg =
     {
-      (Cluster.uniform ~n:4 ~lb:Cluster.Power_of_two (member ~workers:2)) with
+      (fleet_config ~n:4 ~lb:Cluster.Power_of_two ~workers:2) with
       Cluster.tick_ns = Some (Units.ms 1);
       seed = 7L;
     }
@@ -209,14 +221,13 @@ let test_validation () =
          false
        with Invalid_argument _ -> true)
   in
-  raises "uniform n=0" (fun () -> Cluster.uniform ~n:0 ~lb:Cluster.Random (member ~workers:1));
   let dist = Workload.Service_dist.workload_b in
   let go cfg =
     Cluster.run cfg
       ~arrival:(Workload.Arrival.poisson ~rate_per_sec:1000.0)
       ~source:(lc_source dist) ~duration_ns:(Units.ms 1)
   in
-  let base = Cluster.uniform ~n:2 ~lb:Cluster.Random (member ~workers:1) in
+  let base = fleet_config ~n:2 ~lb:Cluster.Random ~workers:1 in
   raises "empty fleet" (fun () -> go { base with Cluster.members = [||] });
   raises "bad steal interval" (fun () ->
       go { base with Cluster.steal = Some { Cluster.default_steal with Cluster.interval_ns = 0 } });

@@ -397,29 +397,43 @@ let test_validate () =
   bad "sys=lp;guard={shed={q=64;target=0us;interval=500us}}";
   bad "sys=lp;guard={be-bucket=0x:16}";
   bad "sys=lp;fleet={n=2};guard={be-bucket=0x:16}";
+  (* The run shape Server.run would otherwise reject mid-run. *)
+  bad "dur=0ms";
+  bad "workers=0; arrival=poisson:1000; dur=5ms";
+  bad "warmup=200ms; dur=100ms";
+  bad "fleet={n=2;workers=1/0}; arrival=poisson:100000; dur=5ms";
+  (* Fleet knobs are checked by [Cluster.validate], as at run time. *)
+  bad "fleet={n=1;steal}";
+  bad "fleet={n=2;steal};guard={timeout=1ms;retry}";
   ok "src=mica;arrival=poisson:100k"
+
+(* Run the built lpctl with [args]; returns (exit status, stdout, stderr). *)
+let lpctl args =
+  let out = Filename.temp_file "lpctl" ".out" and err = Filename.temp_file "lpctl" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/lpctl.exe %s >%s 2>%s"
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote out) (Filename.quote err))
+  in
+  let slurp path =
+    let ic = open_in path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    text
+  in
+  let stdout = slurp out in
+  (code, stdout, slurp err)
 
 (* The CLI end to end: a bad spec gets a one-line diagnostic and exit
    status 1, never an uncaught exception. *)
 let test_lpctl_rejects_bad_specs () =
-  let run spec =
-    let err = Filename.temp_file "lpctl" ".err" in
-    let code =
-      Sys.command
-        (Printf.sprintf "../bin/lpctl.exe run %s >/dev/null 2>%s" (Filename.quote spec)
-           (Filename.quote err))
-    in
-    let ic = open_in err in
-    let msg = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove err;
-    (code, String.trim msg)
-  in
   List.iter
     (fun (spec, expected) ->
-      let code, msg = run spec in
+      let code, _, msg = lpctl [ "run"; spec ] in
       check_int (spec ^ ": exit status") 1 code;
-      check_string (spec ^ ": diagnostic") expected msg)
+      check_string (spec ^ ": diagnostic") expected (String.trim msg))
     [
       ( "sys=lp; workers=4; quantum=99999999999999999999us; src=a2; \
          arrival=poisson:0.5x; dur=5ms",
@@ -430,6 +444,60 @@ let test_lpctl_rejects_bad_specs () =
         "Guard: codel target must be positive" );
       ( "sys=lp; workers=4; src=a2; arrival=poisson:0.5x; dur=5ms; guard={be-bucket=0x:16}",
         "Guard(be): bucket rate must be positive" );
+      ("dur=0ms", "scenario: dur must be positive");
+      ( "workers=0; arrival=poisson:1000; dur=5ms",
+        "scenario: workers must be at least 1 (got 0)" );
+      ("warmup=200ms; dur=100ms", "scenario: warmup (200ms) must lie in [0, dur) with dur=100ms");
+      ( "fleet={n=2;workers=1/0}; arrival=poisson:100000; dur=5ms",
+        "scenario: fleet workers entries must be at least 1 (got 0)" );
+      (* Valid specs whose run measures nothing. *)
+      ( "arrival=poisson:1; dur=2ms",
+        "lpctl: Server.run: no measured completions (warmup too long or load too low)" );
+    ]
+
+(* Every simulation subcommand prints its spec as a "# " header, and
+   `lpctl run` of that spec prints the same result lines. *)
+let test_lpctl_cli_matches_spec () =
+  let is_header = String.starts_with ~prefix:"# " in
+  let results text =
+    List.filter (fun l -> not (is_header l)) (String.split_on_char '\n' text)
+  in
+  List.iter
+    (fun flags ->
+      let name = String.concat " " flags in
+      let code, out, _ = lpctl ("serve" :: flags) in
+      check_int (name ^ ": exit status") 0 code;
+      let spec =
+        match List.find_opt is_header (String.split_on_char '\n' out) with
+        | Some l -> String.sub l 2 (String.length l - 2)
+        | None -> Alcotest.fail (name ^ ": no # <spec> header")
+      in
+      let code, replay, _ = lpctl [ "run"; spec ] in
+      check_int (spec ^ ": replay exit status") 0 code;
+      Alcotest.(check (list string)) (name ^ " = run " ^ spec) (results out) (results replay))
+    [
+      [ "--rate"; "1600000"; "--timeout"; "200"; "--shed"; "24"; "--brownout"; "--duration"; "20" ];
+      [ "--rate"; "1200000"; "--servers"; "4"; "--lb"; "p2c"; "--steal"; "--duration"; "20" ];
+      [ "--system"; "shinjuku"; "--rate"; "500000"; "--duration"; "20" ];
+    ];
+  (* Flags a spec cannot express, and degenerate runs, end in exit
+     status 1 and one diagnostic line. *)
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let code, _, err = lpctl args in
+      check_int (name ^ ": exit status") 1 code;
+      check_int (name ^ ": one diagnostic line") 1
+        (List.length (String.split_on_char '\n' (String.trim err))))
+    [
+      [ "serve"; "--system"; "shinjuku"; "--adaptive" ];
+      [ "serve"; "--workers"; "0" ];
+      [ "top"; "--workers"; "0"; "--once" ];
+      [ "faults"; "--load"; "0" ];
+      [ "serve"; "--rate"; "100"; "--duration"; "2" ];
+      [ "serve"; "--servers"; "2"; "--rate"; "100"; "--duration"; "2" ];
+      [ "colocate"; "--rate"; "10"; "--duration"; "2" ];
+      [ "serve"; "--rate"; "1"; "--steal" ];
     ]
 
 let test_run_server_smoke () =
@@ -521,6 +589,7 @@ let suites =
         Alcotest.test_case "capacity and rates" `Quick test_capacity_and_rates;
         Alcotest.test_case "validate" `Quick test_validate;
         Alcotest.test_case "lpctl rejects bad specs" `Quick test_lpctl_rejects_bad_specs;
+        Alcotest.test_case "lpctl cli matches spec" `Quick test_lpctl_cli_matches_spec;
         Alcotest.test_case "run server smoke" `Quick test_run_server_smoke;
         Alcotest.test_case "run fleet smoke" `Quick test_run_fleet_smoke;
         Alcotest.test_case "fig8 spec equivalence" `Quick test_fig8_spec_equivalence;
