@@ -70,9 +70,18 @@ let elements =
       fun ~jobs:_ () -> Bench_trace.run () );
   ]
 
+(* Host probes: they measure this machine rather than reproduce the
+   paper, so they run only when named, never in the full run. *)
+let on_demand =
+  [
+    ( "--reservoir",
+      "Domain reservoir: respawn cost vs parked-domain tax (meta-only, on demand)",
+      fun ~jobs:_ () -> Bench_reservoir.run () );
+  ]
+
 let list_elements () =
   Format.printf "available elements:@.";
-  List.iter (fun (flag, desc, _) -> Format.printf "  %-12s %s@." flag desc) elements;
+  List.iter (fun (flag, desc, _) -> Format.printf "  %-12s %s@." flag desc) (elements @ on_demand);
   Format.printf "options:@.";
   Format.printf "  %-12s %s@." "--jobs N"
     "worker domains for sweeps (default: recommended domain count; 1 = sequential)";
@@ -177,7 +186,7 @@ let () =
         go rest
       | [ "--scenario" ] -> usage_error "--scenario expects a scenario file"
       | flag :: rest ->
-        (match List.find_opt (fun (f, _, _) -> f = flag) elements with
+        (match List.find_opt (fun (f, _, _) -> f = flag) (elements @ on_demand) with
         | Some el -> run_element ~jobs el
         | None -> usage_error (Printf.sprintf "unknown element %s" flag));
         go rest

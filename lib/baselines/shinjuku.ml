@@ -250,10 +250,12 @@ let window_loop st window_ns =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let max_workers cfg = cfg.hw.Hw.Params.apic_max_cores
+
 let run ?(probes = Preemptible.Server.no_probes) ?(warmup_ns = 0) cfg ~arrival ~source
     ~duration_ns =
   if cfg.n_workers <= 0 then invalid_arg "Shinjuku.run: need at least one worker";
-  if cfg.n_workers > cfg.hw.Hw.Params.apic_max_cores then
+  if cfg.n_workers > max_workers cfg then
     invalid_arg "Shinjuku.run: worker count exceeds the APIC mapping limit";
   if duration_ns <= 0 then invalid_arg "Shinjuku.run: non-positive duration";
   if warmup_ns < 0 || warmup_ns >= duration_ns then

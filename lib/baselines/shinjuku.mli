@@ -38,6 +38,10 @@ type config = {
 
 val default_config : n_workers:int -> quantum_ns:int -> config
 
+val max_workers : config -> int
+(** The most workers {!run} accepts: the APIC mapping limit,
+    [cfg.hw.apic_max_cores]. *)
+
 val run :
   ?probes:Preemptible.Server.probes ->
   ?warmup_ns:int ->

@@ -1,4 +1,5 @@
-(* Domain-based task pool with a fixed worker count.
+(* Task pool with a fixed worker count, on domains borrowed from the
+   process-wide Reservoir.
 
    Determinism contract: results are delivered through promises in
    submission order (Pool.run_all / Sweep.run await them in the order
@@ -9,7 +10,7 @@
    sequential run: the pool only changes *when* a task executes, never
    what it computes or where its result lands.
 
-   With [jobs = 1] no domain is spawned at all: tasks run inline at
+   With [jobs = 1] no domain is borrowed at all: tasks run inline at
    submission time in the caller's domain, preserving the exact
    sequential behaviour (allocation pattern included) of the
    pre-pool harness. *)
@@ -49,7 +50,7 @@ type 'a t = {
   mutable peak : int;
   wtasks : int array;
   wbusy : int array;
-  mutable domains : unit Domain.t array;
+  mutable domains : Reservoir.t array;
   trace : Obs.Trace.t option;
   tm : Mutex.t;  (* trace rings are single-writer; serialize emission *)
 }
@@ -144,7 +145,8 @@ let create ?trace ?(label = "task") ~jobs () =
     }
   in
   if jobs > 1 then
-    t.domains <- Array.init jobs (fun worker -> Domain.spawn (fun () -> worker_loop t ~worker));
+    t.domains <-
+      Array.init jobs (fun worker -> Reservoir.acquire (fun () -> worker_loop t ~worker));
   t
 
 let submit t fn =
@@ -193,7 +195,7 @@ let shutdown t =
   t.closed <- true;
   Condition.broadcast t.qc;
   Mutex.unlock t.qm;
-  Array.iter Domain.join t.domains;
+  Array.iter Reservoir.join t.domains;
   t.domains <- [||]
 
 let stats t =

@@ -1,4 +1,5 @@
-(** Domain-based task pool with a fixed worker count.
+(** Task pool with a fixed worker count, on domains borrowed from the
+    process-wide {!Reservoir}.
 
     {b Determinism contract.}  Results are delivered through promises
     in submission order ({!run_all} awaits them in the order the tasks
@@ -9,10 +10,20 @@
     the pool only changes {e when} a task executes, never what it
     computes or where its result lands.
 
-    With [jobs = 1] no domain is spawned at all: tasks run inline at
+    With [jobs = 1] no domain is borrowed at all: tasks run inline at
     submission time in the caller's domain, preserving the exact
     sequential behaviour (allocation pattern included) of a plain
-    [List.map]. *)
+    [List.map].
+
+    {b Domains.}  A pool with [jobs > 1] borrows its workers from the
+    reservoir and gives them back at {!shutdown}, so back-to-back
+    pools run on the same domains instead of spawning and joining
+    fresh ones.  A returned domain stays parked for
+    {!Reservoir.grace_s} (40 ms); while parked it still takes part in
+    every stop-the-world minor collection of the busy domains, which
+    costs a running simulation a few percent more CPU, and then it
+    ends by itself.  Domain-local state therefore outlives a pool: a
+    task that sets a [Domain.DLS] entry must clear it. *)
 
 type 'a t
 (** A pool executing tasks that each return an ['a]. *)
@@ -33,7 +44,8 @@ type stats = {
 
 val create : ?trace:Obs.Trace.t -> ?label:string -> jobs:int -> unit -> 'a t
 (** [create ~jobs ()] starts a pool with [jobs] workers.  [jobs = 1]
-    runs tasks inline; [jobs > 1] spawns that many domains.  When
+    runs tasks inline; [jobs > 1] borrows that many domains from the
+    reservoir, spawning only those it cannot find parked.  When
     [trace] is given, two coarse events per task (begin/end spans and
     an occupancy counter) are emitted — nothing on the simulator's hot
     path.  @raise Invalid_argument if [jobs < 1]. *)
@@ -53,7 +65,8 @@ val run_all : 'a t -> (unit -> 'a) list -> 'a list
     caller observes results exactly as [List.map] would produce them. *)
 
 val shutdown : 'a t -> unit
-(** Close the queue, drain remaining tasks and join all domains. *)
+(** Close the queue, drain remaining tasks and return the domains to
+    the reservoir; they are parked again when [shutdown] returns. *)
 
 val stats : 'a t -> stats
 (** Consistent snapshot of the accounting counters. *)

@@ -4,8 +4,9 @@
    parallelism story.
 
    [run ~jobs:1 f xs] is exactly [List.map f xs] — no pool, no
-   domains — and because tasks carry isolated Rng/Sim state (seeds are
-   data in the sweep points, never drawn from shared mutable state),
+   domains; larger sweeps borrow their domains from the Reservoir.
+   Because tasks carry isolated Rng/Sim state (seeds are data in the
+   sweep points, never drawn from shared mutable state),
    [run ~jobs:n f xs = run ~jobs:1 f xs] for every [n]. *)
 
 let default_jobs () = Domain.recommended_domain_count ()

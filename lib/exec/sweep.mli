@@ -4,8 +4,12 @@
     bench-layer parallelism story.
 
     [run ~jobs:1 f xs] is exactly [List.map f xs] — no pool, no
-    domains — and because tasks carry isolated Rng/Sim state (seeds are
-    data in the sweep points, never drawn from shared mutable state),
+    domains.  [run ~jobs:n] with [n > 1] borrows [n] domains from the
+    process-wide {!Reservoir} for the sweep and returns them at its
+    end; consecutive sweeps reuse them while no gap between them
+    reaches {!Reservoir.grace_s} (see {!Pool}).  Because tasks carry
+    isolated Rng/Sim state (seeds are data in the sweep points, never
+    drawn from shared mutable state),
     [run ~jobs:n f xs = run ~jobs:1 f xs] for every [n].  CI pins this
     with a jobs-1-vs-8 byte-diff of the gated figures. *)
 

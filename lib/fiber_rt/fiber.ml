@@ -8,7 +8,7 @@ type t = {
   flag : bool Atomic.t;
   mutable quantum : int;
   timer : timer_mode;
-  mutable timer_domain : unit Domain.t option;
+  mutable timer_domain : Reservoir.t option;
   alive : bool Atomic.t;
   mutable in_fn : bool;
   mutable on_preempt : unit -> unit;
@@ -74,7 +74,7 @@ let create ?(quantum_ns = 1_000_000) ?(timer = Inline) ?trace ~clock () =
       trace;
     }
   in
-  if timer = Timer_domain then t.timer_domain <- Some (Domain.spawn (timer_loop t));
+  if timer = Timer_domain then t.timer_domain <- Some (Reservoir.acquire (timer_loop t));
   t
 
 let shutdown t =
@@ -82,7 +82,7 @@ let shutdown t =
     Atomic.set t.alive false;
     match t.timer_domain with
     | Some d ->
-      Domain.join d;
+      Reservoir.join d;
       t.timer_domain <- None
     | None -> ()
   end

@@ -58,8 +58,9 @@ val create :
     domain never touches the ring. *)
 
 val shutdown : t -> unit
-(** Stop the timer domain if any. Idempotent — a second call (or a
-    call racing the first) is a no-op.  Functions suspended at shutdown
+(** Stop the timer domain if any and return it to the domain
+    reservoir.  Idempotent — a second call (or a call racing the
+    first) is a no-op.  Functions suspended at shutdown
     time may still be resumed; with no timer left to raise the flag a
     [Timer_domain]/[External] runtime simply never preempts them again,
     so they run to completion. *)

@@ -57,8 +57,8 @@ type t = {
   mutable failed : int; (* under m *)
   epoch : int Atomic.t; (* bumped on any new work *)
   stop : bool Atomic.t;
-  mutable domains : unit Domain.t list;
-  mutable timer_dom : unit Domain.t option;
+  mutable domains : Reservoir.t list;
+  mutable timer_dom : Reservoir.t option;
 }
 
 type stats = {
@@ -166,7 +166,8 @@ let run_job t (w : worker) job =
         notify t
 
 let worker_loop t (w : worker) () =
-  Domain.DLS.get current_rt := Some w.rt;
+  let cur = Domain.DLS.get current_rt in
+  cur := Some w.rt;
   let rec loop () =
     let e = Atomic.get t.epoch in
     match try_find t w with
@@ -182,7 +183,9 @@ let worker_loop t (w : worker) () =
         loop ()
       end
   in
-  loop ()
+  (* The domain returns to the reservoir and may next run code that is
+     no pool worker: checkpoint/sleep_ns must not find this runtime. *)
+  Fun.protect ~finally:(fun () -> cur := None) loop
 
 (* The shared timer domain: sweep every worker's deadline slot (the
    SENDUIPI fan-out) and re-inject parked fibers whose wake time
@@ -275,8 +278,8 @@ let create ?quantum_ns ~workers () =
     }
   in
   t.domains <-
-    Array.to_list (Array.map (fun w -> Domain.spawn (worker_loop t w)) t.workers);
-  t.timer_dom <- Some (Domain.spawn (timer_loop t));
+    Array.to_list (Array.map (fun w -> Reservoir.acquire (worker_loop t w)) t.workers);
+  t.timer_dom <- Some (Reservoir.acquire (timer_loop t));
   t
 
 let size t = Array.length t.workers
@@ -321,9 +324,9 @@ let shutdown t =
     Condition.broadcast t.work_c;
     Condition.broadcast t.drain_c;
     Mutex.unlock t.m;
-    List.iter Domain.join t.domains;
+    List.iter Reservoir.join t.domains;
     t.domains <- [];
-    Option.iter Domain.join t.timer_dom;
+    Option.iter Reservoir.join t.timer_dom;
     t.timer_dom <- None;
     Array.iter (fun w -> Fiber.shutdown w.rt) t.workers
   end

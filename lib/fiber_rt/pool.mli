@@ -1,6 +1,7 @@
 (** Blocking-aware multicore fiber pool with work stealing.
 
-    [create ~workers ()] spawns [workers] domains, each owning a
+    [create ~workers ()] borrows [workers] domains from the
+    process-wide {!Reservoir}, each owning a
     {!Fiber} runtime in [External] timer mode plus two Chase-Lev deques
     (one per request class), and one shared timer domain that sweeps
     every worker's deadline slot — the LibUtimer topology of a single
@@ -31,7 +32,7 @@ type stats = {
 }
 
 val create : ?quantum_ns:int -> workers:int -> unit -> t
-(** Spawns [workers] + 1 (timer) domains on a wall clock.  Omitting
+(** Borrows [workers] + 1 (timer) domains on a wall clock.  Omitting
     [quantum_ns] disables preemption (fibers run until they yield,
     sleep, or complete).  Raises on [workers < 1] or a non-positive
     quantum. *)
@@ -66,6 +67,7 @@ val clock : t -> Deadline_clock.t
 (** The pool's wall clock. *)
 
 val shutdown : t -> unit
-(** Stop and join all domains.  Idempotent.  Call {!drain} first if
-    pending work must finish; jobs still parked or queued at shutdown
-    are abandoned. *)
+(** Stop the pool and return its domains to the reservoir, where they
+    stay parked for {!Reservoir.grace_s}.  Idempotent.  Call {!drain}
+    first if pending work must finish; jobs still parked or queued at
+    shutdown are abandoned. *)

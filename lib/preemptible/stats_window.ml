@@ -23,8 +23,10 @@ type t = {
   mutable max_qlen : int;
 }
 
+let valid_window_ns window_ns = window_ns > 0
+
 let create ~window_ns =
-  if window_ns <= 0 then invalid_arg "Stats_window.create: window must be positive";
+  if not (valid_window_ns window_ns) then invalid_arg "Stats_window.create: window must be positive";
   {
     win = window_ns;
     start = 0;

@@ -24,7 +24,11 @@ type snapshot = {
 
 type t
 
+val valid_window_ns : int -> bool
+(** The check {!create} makes: a window must be positive. *)
+
 val create : window_ns:int -> t
+(** @raise Invalid_argument unless [valid_window_ns window_ns]. *)
 
 val window_ns : t -> int
 

@@ -1282,6 +1282,12 @@ let baseline_quantum s name =
           sys=lp|lp-nouintr"
          name)
 
+let shinjuku_config s =
+  baseline_reject s "shinjuku";
+  let quantum_ns = baseline_quantum s "shinjuku" in
+  let cfg = Baselines.Shinjuku.default_config ~n_workers:s.workers ~quantum_ns in
+  { cfg with Baselines.Shinjuku.seed = s.seed }
+
 let run_server ?probes s =
   if s.fleet <> None then
     invalid_arg "scenario: fleet scenario; use run_fleet";
@@ -1294,12 +1300,8 @@ let run_server ?probes s =
     Preemptible.Server.run ?probes ~warmup_ns (server_config s) ~arrival ~source
       ~duration_ns
   | Shinjuku ->
-    baseline_reject s "shinjuku";
-    let quantum_ns = baseline_quantum s "shinjuku" in
-    let cfg = Baselines.Shinjuku.default_config ~n_workers:s.workers ~quantum_ns in
-    Baselines.Shinjuku.run ?probes ~warmup_ns
-      { cfg with Baselines.Shinjuku.seed = s.seed }
-      ~arrival ~source ~duration_ns
+    Baselines.Shinjuku.run ?probes ~warmup_ns (shinjuku_config s) ~arrival ~source
+      ~duration_ns
   | Libinger ->
     baseline_reject s "libinger";
     let quantum_ns = baseline_quantum s "libinger" in
@@ -1369,10 +1371,13 @@ let validate s =
     check_shape s;
     (match s.system with
     | Lp | Lp_nouintr ->
-      (* The checks [Guard.create] and [Cluster.run] make before
-         simulating. *)
+      (* The checks [Guard.create], [Stats_window.create] and
+         [Cluster.run] make before simulating. *)
       let check (cfg : Preemptible.Server.config) =
-        Option.iter Guard.validate cfg.Preemptible.Server.guard
+        Option.iter Guard.validate cfg.Preemptible.Server.guard;
+        let w = cfg.Preemptible.Server.stats_window_ns in
+        if not (Preemptible.Stats_window.valid_window_ns w) then
+          invalid_arg (Printf.sprintf "scenario: window must be positive (got %s)" (time_str w))
       in
       if s.fleet <> None then begin
         let c = cluster_config s in
@@ -1380,6 +1385,15 @@ let validate s =
         Cluster.validate c
       end
       else check (server_config s)
+    | Shinjuku ->
+      let cfg = shinjuku_config s in
+      let cap = Baselines.Shinjuku.max_workers cfg in
+      if cfg.Baselines.Shinjuku.n_workers > cap then
+        invalid_arg
+          (Printf.sprintf
+             "scenario: sys=shinjuku runs at most %d workers (its APIC mapping \
+              limit; got %d)"
+             cap cfg.Baselines.Shinjuku.n_workers)
     | sys ->
       baseline_reject s (system_name sys);
       (match sys with

@@ -232,6 +232,130 @@ let test_timeseries_merge () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Domain reservoir                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let self_id () = (Domain.self () :> int)
+
+(* Run one task per worker, each waiting until all have started, so
+   every worker of the pool reports the domain it runs on. *)
+let worker_ids ?(probe = fun () -> ()) pool =
+  let jobs = Exec.Pool.jobs pool in
+  let arrived = Atomic.make 0 in
+  Exec.Pool.run_all pool
+    (List.init jobs (fun _ () ->
+         Atomic.incr arrived;
+         while Atomic.get arrived < jobs do
+           Unix.sleepf 50e-6
+         done;
+         probe ();
+         self_id ()))
+  |> List.sort_uniq compare
+
+let pool_ids ?probe ~jobs () =
+  let pool = Exec.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () -> worker_ids ?probe pool)
+
+(* Reuse lasts only while no gap between pools reaches the grace
+   period; a host that stalls the test that long retires the parked
+   domains.  Up to three attempts absorb such a stall. *)
+let with_retries f =
+  let rec go k =
+    match f () with
+    | Ok () -> ()
+    | Error m -> if k = 1 then Alcotest.fail m else go (k - 1)
+  in
+  go 3
+
+let wait_reservoir_empty () =
+  let t0 = Unix.gettimeofday () in
+  while Reservoir.parked () > 0 && Unix.gettimeofday () -. t0 < 5.0 do
+    Unix.sleepf Reservoir.grace_s
+  done;
+  check_int "every parked domain retired" 0 (Reservoir.parked ())
+
+let test_reservoir_reuse () =
+  with_retries (fun () ->
+      let ids = List.concat (List.init 20 (fun _ -> pool_ids ~jobs:2 ())) in
+      match List.sort_uniq compare ids with
+      | [ _; _ ] -> Ok ()
+      | d -> Error (Printf.sprintf "20 jobs=2 pools ran on %d distinct domains" (List.length d)))
+
+let test_reservoir_grace () =
+  let before = pool_ids ~jobs:2 () in
+  wait_reservoir_empty ();
+  let after = pool_ids ~jobs:2 () in
+  check_int "two workers" 2 (List.length after);
+  check_bool "fresh domains after the grace period" true
+    (List.for_all (fun id -> not (List.mem id before)) after)
+
+let test_reservoir_failed_task () =
+  (* Directly: a function that raises re-raises at join, and its domain
+     takes the next function. *)
+  with_retries (fun () ->
+      let first = ref (-1) and second = ref (-2) in
+      let h = Reservoir.acquire (fun () -> first := self_id (); raise (Boom 3)) in
+      (match Reservoir.join h with () -> Alcotest.fail "expected Boom" | exception Boom 3 -> ());
+      Reservoir.join (Reservoir.acquire (fun () -> second := self_id ()));
+      if !first = !second then Ok () else Error "domain not reused after its function raised");
+  (* Through a pool: a failed task leaves both workers reusable. *)
+  with_retries (fun () ->
+      let pool = Exec.Pool.create ~jobs:2 () in
+      let ids = worker_ids pool in
+      (match Exec.Pool.await (Exec.Pool.submit pool (fun () -> raise (Boom 4))) with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom 4 -> ());
+      Exec.Pool.shutdown pool;
+      if pool_ids ~jobs:2 () = ids then Ok () else Error "pool after a failed task got new domains")
+
+let test_reservoir_nested_and_concurrent () =
+  let outer = Exec.Pool.create ~jobs:2 () in
+  let results =
+    Exec.Pool.run_all outer
+      (List.init 3 (fun i () -> Exec.Sweep.run ~jobs:2 (fun x -> (10 * i) + x) [ 1; 2; 3 ]))
+  in
+  Exec.Pool.shutdown outer;
+  Alcotest.(check (list (list int))) "pools inside tasks"
+    [ [ 1; 2; 3 ]; [ 11; 12; 13 ]; [ 21; 22; 23 ] ]
+    results;
+  let a = Exec.Pool.create ~jobs:2 () and b = Exec.Pool.create ~jobs:2 () in
+  let ids_a = worker_ids a and ids_b = worker_ids b in
+  Exec.Pool.shutdown a;
+  Exec.Pool.shutdown b;
+  check_int "four workers" 4 (List.length (List.sort_uniq compare (ids_a @ ids_b)))
+
+let test_reservoir_sweeps_agree () =
+  for k = 1 to 20 do
+    let seeds = Exec.Sweep.seeds ~seed:(Int64.of_int k) 8 in
+    check_bool
+      (Printf.sprintf "sweep %d: jobs=2 = jobs=1" k)
+      true
+      (Exec.Sweep.run ~jobs:2 mini_sim seeds = Exec.Sweep.run ~jobs:1 mini_sim seeds)
+  done
+
+(* A fiber pool's worker domain goes back to the reservoir: an Exec task
+   that lands on it must not find the finished pool's runtime. *)
+let test_reservoir_clears_fiber_worker () =
+  with_retries (fun () ->
+      let fp = Fiber_rt.Pool.create ~workers:1 () in
+      let fiber_dom = Atomic.make (-1) in
+      Fiber_rt.Pool.submit fp (fun () -> Atomic.set fiber_dom (self_id ()));
+      Fiber_rt.Pool.drain fp;
+      Fiber_rt.Pool.shutdown fp;
+      let off_pool = Atomic.make 0 in
+      let probe () =
+        Fiber_rt.Pool.checkpoint ();
+        match Fiber_rt.Pool.sleep_ns 1_000 with
+        | () -> ()
+        | exception Invalid_argument m ->
+          if Astring_contains.contains m "not on a pool worker" then Atomic.incr off_pool
+      in
+      let ids = pool_ids ~probe ~jobs:2 () in
+      check_int "sleep_ns raised off the pool on every worker" 2 (Atomic.get off_pool);
+      if List.mem (Atomic.get fiber_dom) ids then Ok ()
+      else Error "no Exec worker reused the fiber pool's worker domain")
+
+(* ------------------------------------------------------------------ *)
 (* Seeding / env helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,6 +393,18 @@ let suites =
           test_sweep_real_sim_parallel_eq_sequential;
         Alcotest.test_case "summaries fold" `Quick test_sweep_summaries;
         Alcotest.test_case "timeseries merge" `Quick test_timeseries_merge;
+      ] );
+    ( "exec.reservoir",
+      [
+        Alcotest.test_case "back-to-back pools reuse two domains" `Quick test_reservoir_reuse;
+        Alcotest.test_case "parked domains retire after the grace" `Quick test_reservoir_grace;
+        Alcotest.test_case "a failed task leaves its domain reusable" `Quick
+          test_reservoir_failed_task;
+        Alcotest.test_case "nested and concurrent pools" `Quick
+          test_reservoir_nested_and_concurrent;
+        Alcotest.test_case "20 sweeps: jobs=2 = jobs=1" `Quick test_reservoir_sweeps_agree;
+        Alcotest.test_case "fiber pool worker DLS cleared" `Quick
+          test_reservoir_clears_fiber_worker;
       ] );
     ( "exec.env",
       [

@@ -405,6 +405,12 @@ let test_validate () =
   (* Fleet knobs are checked by [Cluster.validate], as at run time. *)
   bad "fleet={n=1;steal}";
   bad "fleet={n=2;steal};guard={timeout=1ms;retry}";
+  (* Stats_window's positivity and Shinjuku's APIC limit, as at run time. *)
+  bad "window=0ns";
+  bad "fleet={n=2};window=0ns";
+  ok "window=1ms";
+  bad "sys=shinjuku;workers=33";
+  ok "sys=shinjuku;workers=32";
   ok "src=mica;arrival=poisson:100k"
 
 (* Run the built lpctl with [args]; returns (exit status, stdout, stderr). *)
@@ -431,9 +437,12 @@ let lpctl args =
 let test_lpctl_rejects_bad_specs () =
   List.iter
     (fun (spec, expected) ->
-      let code, _, msg = lpctl [ "run"; spec ] in
+      let code, out, msg = lpctl [ "run"; spec ] in
       check_int (spec ^ ": exit status") 1 code;
-      check_string (spec ^ ": diagnostic") expected (String.trim msg))
+      check_string (spec ^ ": diagnostic") expected (String.trim msg);
+      (* A spec that validation rejects is never simulated. *)
+      if String.starts_with ~prefix:"scenario:" expected then
+        check_string (spec ^ ": nothing simulated") "" out)
     [
       ( "sys=lp; workers=4; quantum=99999999999999999999us; src=a2; \
          arrival=poisson:0.5x; dur=5ms",
@@ -450,6 +459,14 @@ let test_lpctl_rejects_bad_specs () =
       ("warmup=200ms; dur=100ms", "scenario: warmup (200ms) must lie in [0, dur) with dur=100ms");
       ( "fleet={n=2;workers=1/0}; arrival=poisson:100000; dur=5ms",
         "scenario: fleet workers entries must be at least 1 (got 0)" );
+      (* Bounds the run enforces, checked by validation from the same
+         source: Stats_window's positivity, Shinjuku's APIC limit. *)
+      ( "window=0ns; arrival=poisson:100000; dur=5ms",
+        "scenario: window must be positive (got 0ns)" );
+      ( "fleet={n=2}; window=0ns; arrival=poisson:100000; dur=5ms",
+        "scenario: window must be positive (got 0ns)" );
+      ( "sys=shinjuku; workers=300; arrival=poisson:1000; dur=5ms",
+        "scenario: sys=shinjuku runs at most 32 workers (its APIC mapping limit; got 300)" );
       (* Valid specs whose run measures nothing. *)
       ( "arrival=poisson:1; dur=2ms",
         "lpctl: Server.run: no measured completions (warmup too long or load too low)" );
